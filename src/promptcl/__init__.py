@@ -59,9 +59,13 @@ from .tensor import (
     concat,
     expand_leading,
     finite_difference_gradient,
+    layer_norm_affine,
+    linear,
+    multi_head_attention,
     narrow,
     no_grad,
     reset_tape,
+    row_readout,
     zero_grads,
 )
 from .training import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeds import normal_init, seeded_rng
-from .tensor import Tensor
+from .tensor import Tensor, linear
 from .vit import ModelConfig
 
 
@@ -75,7 +75,7 @@ def attach_adapters(config: ModelConfig) -> AdapterStack:
 
 
 def adapter_forward(x: Tensor, adapter: AdapterLayer) -> Tensor:
-    return (x @ adapter.down_w + adapter.down_b).relu() @ adapter.up_w + adapter.up_b
+    return linear(linear(x, adapter.down_w, adapter.down_b, relu=True), adapter.up_w, adapter.up_b)
 
 
 def compute_trainable_mask(

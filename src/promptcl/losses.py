@@ -13,6 +13,7 @@ the columns to the classes of the task being trained before calling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class AslConfig:
     clamp_eps: float = 1e-7
 
     def __post_init__(self):
+        for name in ("gamma_pos", "gamma_neg", "clamp_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"AslConfig: {name} must be finite, got {getattr(self, name)}")
         if self.gamma_pos < 0 or self.gamma_neg < 0:
             raise ValueError(
                 f"AslConfig: focusing powers must be non-negative, got ({self.gamma_pos}, {self.gamma_neg})"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .adapters import AdapterStack, attach_adapters
 from .prompts import ClassifierBank, PromptPool, classify
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, stable_sigmoid
 from .vit import EncoderParams, ModelConfig, encoder_forward
 
 
@@ -51,15 +51,6 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
         raise ValueError("forward_logits: no classes registered yet")
     o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters)
     return classify(o_P, state.bank, class_ids)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 64) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeds import normal_init, seeded_rng
-from .tensor import Tensor, concat, narrow, reshape
+from .tensor import Tensor, concat, reshape, row_readout
 
 PROMPT_STD = 0.02
 
@@ -224,15 +224,8 @@ def classify(o_P: Tensor, bank: ClassifierBank, class_ids=None) -> Tensor:
             picks = [position[int(c)] for c in class_ids]
         except KeyError as err:
             raise ValueError(f"classify: no head for class {err.args[0]}") from None
-    cols = []
-    for i in picks:
-        e = bank.entries[i]
-        row = narrow(o_P, -2, i, i + 1)           # (..., 1, d)
-        score = (row * e.weight).sum(axis=-1)     # (..., 1)
-        cols.append(score + e.bias)
-    if len(cols) == 1:
-        return cols[0]
-    return concat(cols, axis=-1)
+    heads = [bank.entries[i] for i in picks]
+    return row_readout(o_P, picks, [e.weight for e in heads], [e.bias for e in heads])
 
 
 def orthogonality_penalty(pool: PromptPool) -> Tensor:

@@ -11,6 +11,7 @@ learned so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,9 @@ class RunConfig:
     semantic_path: str = ""
 
     def __post_init__(self):
+        for name in ("lr", "threshold", "ortho_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"RunConfig: {name} must be finite, got {getattr(self, name)}")
         if self.method not in METHODS:
             raise ValueError(f"RunConfig: unknown method {self.method!r}, choose from {METHODS}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:

@@ -307,13 +307,18 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record((a,), out, pullback)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def stable_sigmoid(x: Array) -> Array:
+    """Logistic function of a plain array, overflow-free for large ``|x|``."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = stable_sigmoid(a.data)
 
     def pullback(g):
         return (g * out * (1.0 - out) if a.requires_grad else None,)
@@ -321,37 +326,42 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record((a,), out, pullback)
 
 
+def _softmax(x: Array) -> Array:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_pullback(g: Array, out: Array) -> Array:
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return (g - inner) * out
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, shift-stabilised."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
+    return _record((a,), out, lambda g: (_softmax_pullback(g, out) if a.requires_grad else None,))
 
-    def pullback(g):
-        if not a.requires_grad:
-            return (None,)
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
 
-    return _record((a,), out, pullback)
+def _normalize(x: Array, eps: float) -> tuple[Array, Array]:
+    """Last-axis standardisation and the reciprocal deviation it divided by."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _normalize_pullback(g: Array, out: Array, inv: Array) -> Array:
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * out).mean(axis=-1, keepdims=True)
+    return (g - gm - out * gy) * inv
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean, unit variance (population)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
-
-    def pullback(g):
-        if not a.requires_grad:
-            return (None,)
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * out).mean(axis=-1, keepdims=True)
-        return ((g - gm - out * gy) * inv,)
-
-    return _record((a,), out, pullback)
+    out, inv = _normalize(a.data, eps)
+    return _record((a,), out, lambda g: (_normalize_pullback(g, out, inv) if a.requires_grad else None,))
 
 
 # -- reductions and shape ops -----------------------------------------
@@ -486,6 +496,176 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
         return (g.sum(axis=0) if a.requires_grad else None,)
 
     return _record((a,), out, pullback)
+
+
+# -- fused ops ---------------------------------------------------------
+#
+# Each op below is one tape entry standing in for a chain of the
+# primitives above, and reproduces that chain's results bit for bit:
+# forward and pullback run the same NumPy expressions on operands of the
+# same memory layout, and an input read through several slices gets its
+# adjoint exactly as the chain's sum of zero-padded slice gradients gave it.
+
+
+def _write_slice(buf: Array, index: tuple, part: Array, alone: bool) -> None:
+    """Add one slice's gradient into an input's zero-filled adjoint buffer.
+
+    Slices written with ``+=`` in reverse tape order sum exactly as the
+    zero-padded slice gradients of a chain of slicing ops did. A lone
+    slice (``alone``) is copied in instead: the chain never summed it, so
+    a -0.0 in it stays -0.0.
+    """
+    if alone:
+        buf[index] = part
+    else:
+        buf[index] += part
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
+           relu: bool = False) -> Tensor:
+    """``x @ w + b``, plus ``residual`` when given, then ReLU when asked."""
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
+        raise ValueError(
+            f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not chain "
+            "(need x (..., n, k), w (k, m), b (m,))"
+        )
+    out = x.data @ w.data
+    out += b.data
+    inputs = (x, w, b)
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ValueError(f"linear: residual {residual.shape} does not match output {out.shape}")
+        out += residual.data
+        inputs += (residual,)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def pullback(g):
+        if relu:
+            g = g * (out > 0.0)
+        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape) if w.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        if residual is None:
+            return gx, gw, gb
+        return gx, gw, gb, (g if residual.requires_grad else None)
+
+    return _record(inputs, out, pullback)
+
+
+def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm(a) * gamma + beta`` with per-feature scale and shift."""
+    if gamma.shape != a.shape[-1:] or beta.shape != a.shape[-1:]:
+        raise ValueError(
+            f"layer_norm_affine: gamma {gamma.shape} and beta {beta.shape} must both be "
+            f"the last axis of {a.shape}"
+        )
+    norm, inv = _normalize(a.data, eps)
+    out = norm * gamma.data
+    out += beta.data
+
+    def pullback(g):
+        ga = _normalize_pullback(g * gamma.data, norm, inv) if a.requires_grad else None
+        gg = _unbroadcast(g * norm, gamma.shape) if gamma.requires_grad else None
+        gb = _unbroadcast(g, beta.shape) if beta.requires_grad else None
+        return ga, gg, gb
+
+    return _record((a, gamma, beta), out, pullback)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention over ``heads`` equal slices of the last axis.
+
+    ``q``, ``k`` and ``v`` are (..., T, d); head ``h`` reads features
+    ``[h*d/heads, (h+1)*d/heads)`` and writes the same slice of the output.
+    The heads run one after another on contiguous copies of their slices.
+    """
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(
+            f"multi_head_attention: q {q.shape}, k {k.shape}, v {v.shape} must share one (..., T, d) shape"
+        )
+    d = q.shape[-1]
+    if heads < 1 or d % heads != 0:
+        raise ValueError(f"multi_head_attention: width {d} not divisible into {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    slices = [(Ellipsis, slice(h * dh, (h + 1) * dh)) for h in range(heads)]
+
+    def operands(sl):
+        # contiguous per-head copies; rebuilt in the pullback, not kept
+        return q.data[sl].copy(), np.swapaxes(k.data[sl], -1, -2).copy(), v.data[sl].copy()
+
+    out = np.empty(q.shape)
+    attns = []
+    for sl in slices:
+        qs, kt, vs = operands(sl)
+        s = qs @ kt
+        s *= scale
+        attns.append(_softmax(s))
+        out[sl] = attns[-1] @ vs
+
+    def pullback(g):
+        gq, gk, gv = (np.zeros(t.shape) if t.requires_grad else None for t in (q, k, v))
+        alone = heads == 1
+        for sl, attn in zip(reversed(slices), reversed(attns)):
+            qs, kt, vs = operands(sl)
+            go = g[sl]
+            if gv is not None:
+                _write_slice(gv, sl, np.swapaxes(attn, -1, -2) @ go, alone)
+            if gq is not None or gk is not None:
+                gs = _softmax_pullback(go @ np.swapaxes(vs, -1, -2), attn) * scale
+                if gq is not None:
+                    _write_slice(gq, sl, gs @ np.swapaxes(kt, -1, -2), alone)
+                if gk is not None:
+                    _write_slice(gk, sl, np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2), alone)
+        return gq, gk, gv
+
+    return _record((q, k, v), out, pullback)
+
+
+def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
+                biases: Sequence[Tensor]) -> Tensor:
+    """Column ``j`` is ``x[..., rows[j], :] . weights[j] + biases[j]``.
+
+    ``x`` is (..., n, d), each weight (d,) and each bias a scalar; the
+    result is (..., len(rows)).
+    """
+    m = len(rows)
+    if m == 0 or len(weights) != m or len(biases) != m:
+        raise ValueError(
+            f"row_readout: need one weight and one bias per row, got {m} rows, "
+            f"{len(weights)} weights, {len(biases)} biases"
+        )
+    if x.ndim < 2:
+        raise ValueError(f"row_readout: input must be at least 2-D, got shape {x.shape}")
+    n, d = x.shape[-2:]
+    for i, w, b in zip(rows, weights, biases):
+        if not 0 <= i < n or w.shape != (d,) or b.shape != ():
+            raise ValueError(
+                f"row_readout: row {i} of {n}, weight {w.shape}, bias {b.shape} do not fit input {x.shape}"
+            )
+    picked = x.data[..., list(rows), :]
+    out = (picked * np.stack([w.data for w in weights])).sum(axis=-1)
+    out += np.array([b.data for b in biases])
+    order = range(m - 1, -1, -1)
+
+    def pullback(g):
+        gx = np.zeros(x.shape) if x.requires_grad else None
+        grads = []
+        for j in order:
+            col = g[..., j:j + 1]
+            w, b = weights[j], biases[j]
+            grads.append(_unbroadcast(col, ()) if b.requires_grad else None)
+            grads.append(
+                _unbroadcast(col[..., None] * picked[..., j:j + 1, :], w.shape) if w.requires_grad else None
+            )
+            if gx is not None:
+                row = (Ellipsis, slice(rows[j], rows[j] + 1), slice(None))
+                _write_slice(gx, row, col[..., None] * w.data, m == 1)
+        return (gx, *grads)
+
+    inputs = (x,) + tuple(t for j in order for t in (biases[j], weights[j]))
+    return _record(inputs, out, pullback)
 
 
 # -- reverse pass ------------------------------------------------------

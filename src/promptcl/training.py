@@ -66,41 +66,51 @@ def cosine_lr(base: float, step: int, total_steps: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: RunConfig, seed_parts) -> dict:
-    """Shared minibatch loop for stages and pretraining."""
+def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: RunConfig,
+         seed_parts, what: str = "training") -> dict:
+    """Shared minibatch loop for stages and pretraining.
+
+    ``what`` names the loop ("stage 2", "pretraining") in errors. Whether
+    it returns or raises, the tape is left empty and every parameter
+    trainable again.
+    """
     n = images.shape[0]
     if n == 0:
         raise ValueError("training: no samples for this task")
     named = named_params(state)
-    for name, t in named.items():
-        t.requires_grad = mask[name]
-    trainables = {name: t for name, t in named.items() if mask[name]}
-    if not trainables:
-        raise ValueError("training: the trainable mask selects no parameters")
-    opt = Adam(trainables)
-    batch = min(cfg.batch_size, n)
-    steps_per_epoch = math.ceil(n / batch)
-    total_steps = epochs * steps_per_epoch
-    order_rng = seeded_rng(*seed_parts)
-    step = 0
-    last_loss = float("nan")
-    for _ in range(epochs):
-        perm = order_rng.permutation(n)
-        for start in range(0, n, batch):
-            pick = perm[start:start + batch]
-            reset_tape()
-            zero_grads(trainables.values())
-            logits = forward_logits(state, images[pick], class_ids=class_ids)
-            loss = asl_loss(logits, labels[pick], cfg.asl)
-            if cfg.ortho_weight > 0.0:
-                loss = loss + cfg.ortho_weight * orthogonality_penalty(state.pool)
-            backward(loss)
-            opt.step(cosine_lr(cfg.lr, step, total_steps))
-            last_loss = loss.item()
-            step += 1
-    reset_tape()
-    for t in named.values():
-        t.requires_grad = True
+    try:
+        for name, t in named.items():
+            t.requires_grad = mask[name]
+        trainables = {name: t for name, t in named.items() if mask[name]}
+        if not trainables:
+            raise ValueError("training: the trainable mask selects no parameters")
+        opt = Adam(trainables)
+        batch = min(cfg.batch_size, n)
+        steps_per_epoch = math.ceil(n / batch)
+        total_steps = epochs * steps_per_epoch
+        order_rng = seeded_rng(*seed_parts)
+        step = 0
+        last_loss = float("nan")
+        for _ in range(epochs):
+            perm = order_rng.permutation(n)
+            for start in range(0, n, batch):
+                pick = perm[start:start + batch]
+                reset_tape()
+                zero_grads(trainables.values())
+                logits = forward_logits(state, images[pick], class_ids=class_ids)
+                loss = asl_loss(logits, labels[pick], cfg.asl)
+                if cfg.ortho_weight > 0.0:
+                    loss = loss + cfg.ortho_weight * orthogonality_penalty(state.pool)
+                last_loss = loss.item()
+                if not math.isfinite(last_loss):
+                    raise ValueError(f"{what}: loss is {last_loss} at step {step}")
+                backward(loss)
+                opt.step(cosine_lr(cfg.lr, step, total_steps))
+                step += 1
+    finally:
+        reset_tape()
+        for t in named.values():
+            t.requires_grad = True
     return {"steps": step, "last_loss": last_loss, "trainable_params": trainable_param_count(mask, named)}
 
 
@@ -117,7 +127,7 @@ def train_stage(state: ModelState, task: Task, dataset: Dataset, cfg: RunConfig,
     labels = mask_to_task(dataset.train_labels[task.train_indices], task.class_ids)
     return _fit(
         state, images, labels, task.class_ids, mask, cfg.epochs, cfg,
-        (cfg.seed, "stage-batches", task.index),
+        (cfg.seed, "stage-batches", task.index), f"stage {task.index}",
     )
 
 
@@ -141,12 +151,13 @@ def simulate_pretraining(state: ModelState, pretrain: Dataset, cfg: RunConfig) -
     add_class_prompts(donor.pool, donor.bank, class_ids, stage=1)
     state.backbone.frozen = False
     mask = {name: True for name in named_params(donor)}
-    stats = _fit(
-        donor, pretrain.train_images, pretrain.train_labels.astype(np.float64), class_ids,
-        mask, cfg.pretrain_epochs, cfg, (cfg.seed, "pretrain-batches"),
-    )
-    state.backbone.frozen = True
-    return stats
+    try:
+        return _fit(
+            donor, pretrain.train_images, pretrain.train_labels.astype(np.float64), class_ids,
+            mask, cfg.pretrain_epochs, cfg, (cfg.seed, "pretrain-batches"), "pretraining",
+        )
+    finally:
+        state.backbone.frozen = True
 
 
 def evaluate_session(state: ModelState, dataset: Dataset, stream: TaskStream, upto_stage: int,
@@ -218,8 +229,11 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
             raise ValueError("run_benchmark: give either a pretraining dataset or a donor backbone")
         if backbone_from.config.to_dict() != cfg.model.to_dict():
             raise ValueError("run_benchmark: donor backbone was built for a different model config")
-        state.backbone = backbone_from.backbone
-        state.backbone.frozen = True
+        # Copy the donor's weights into this run's own backbone: the run
+        # trains it (fine_tuning), and the donor belongs to the caller.
+        donor = backbone_from.backbone.named()
+        for name, t in state.backbone.named().items():
+            t.data = donor[name].data.copy()
     elif pretrain is not None:
         t0 = time.perf_counter()
         simulate_pretraining(state, pretrain, cfg)

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeds import seeded_rng, trunc_normal
-from .tensor import Tensor, concat, expand_leading, narrow
+from .tensor import (
+    Tensor,
+    concat,
+    expand_leading,
+    layer_norm_affine,
+    linear,
+    multi_head_attention,
+    narrow,
+)
 
 MLP_RATIO = 4
 
@@ -174,40 +182,31 @@ def patchify(images, params: EncoderParams) -> Tensor:
     g, p = cfg.grid_side, cfg.patch_side
     # (B, g, p, g, p) -> (B, g, g, p, p) -> (B, N, p*p), patches in row-major grid order
     patches = arr.reshape(b, g, p, g, p).transpose(0, 1, 3, 2, 4).reshape(b, cfg.n_patches, p * p)
-    tokens = Tensor(patches) @ params.patch_w + params.patch_b + params.pos
+    tokens = linear(Tensor(patches), params.patch_w, params.patch_b) + params.pos
     if single:
         return tokens.reshape((cfg.n_patches, cfg.embed_dim))
     return tokens
 
 
-def _attention(x: Tensor, block: BlockParams, heads: int) -> Tensor:
-    d = x.shape[-1]
-    dh = d // heads
-    q = x @ block.wq + block.bq
-    k = x @ block.wk + block.bk
-    v = x @ block.wv + block.bv
-    scale = 1.0 / np.sqrt(dh)
-    outs = []
-    for h in range(heads):
-        qs = narrow(q, -1, h * dh, (h + 1) * dh)
-        ks = narrow(k, -1, h * dh, (h + 1) * dh)
-        vs = narrow(v, -1, h * dh, (h + 1) * dh)
-        attn = ((qs @ ks.transpose_last()) * scale).softmax()
-        outs.append(attn @ vs)
-    merged = outs[0] if heads == 1 else concat(outs, axis=-1)
-    return merged @ block.wo + block.bo
+def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor) -> Tensor:
+    """``residual`` plus multi-head self-attention over ``x``."""
+    q = linear(x, block.wq, block.bq)
+    k = linear(x, block.wk, block.bk)
+    v = linear(x, block.wv, block.bv)
+    return linear(multi_head_attention(q, k, v, heads), block.wo, block.bo, residual=residual)
 
 
-def _mlp(x: Tensor, block: BlockParams) -> Tensor:
-    return (x @ block.w1 + block.b1).relu() @ block.w2 + block.b2
+def _mlp(x: Tensor, block: BlockParams, residual: Tensor) -> Tensor:
+    """``residual`` plus the two-layer ReLU MLP of ``x``."""
+    return linear(linear(x, block.w1, block.b1, relu=True), block.w2, block.b2, residual=residual)
 
 
 def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter=None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
     post-attention residual and its output joins the main residual sum."""
-    h = x.layer_norm() * block.ln1_g + block.ln1_b
-    x_o = _attention(h, block, heads) + x
-    y_o = _mlp(x_o.layer_norm() * block.ln2_g + block.ln2_b, block) + x_o
+    h = layer_norm_affine(x, block.ln1_g, block.ln1_b)
+    x_o = _attention(h, block, heads, residual=x)
+    y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o)
     if adapter is None:
         return y_o
     from .adapters import adapter_forward
@@ -247,7 +246,7 @@ def encoder_forward(images, prompt_pool, params: EncoderParams, adapters=None):
         x = concat([front, x], axis=-2)
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_for(layer))
-    x = x.layer_norm() * params.final_ln_g + params.final_ln_b
+    x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
 
     o_P = narrow(x, -2, 0, n)
     o_I = narrow(x, -2, n, n + cfg.n_patches)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from promptcl import Tensor, backward, finite_difference_gradient, reset_tape
+from promptcl import Tensor, backward, concat, finite_difference_gradient, narrow, reset_tape
 
 
 def scaled_max_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -54,6 +54,44 @@ def gradcheck(make_scalar, param: Tensor, eps: float = 1e-5, tol: float = 1e-4) 
     reset_tape()
     param.grad = None
     return scaled_max_error(analytic, numeric)
+
+
+# -- unfused references for the fused tensor ops ---------------------------
+#
+# Each builds the chain of primitive ops that the fused op replaced; the
+# fused op must match it byte for byte, outputs and gradients alike.
+
+
+def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None, relu=False) -> Tensor:
+    out = x @ w + b
+    if residual is not None:
+        out = out + residual
+    return out.relu() if relu else out
+
+
+def reference_layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    return x.layer_norm() * gamma + beta
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    dh = q.shape[-1] // heads
+    scale = 1.0 / np.sqrt(dh)
+    outs = []
+    for h in range(heads):
+        qs = narrow(q, -1, h * dh, (h + 1) * dh)
+        ks = narrow(k, -1, h * dh, (h + 1) * dh)
+        vs = narrow(v, -1, h * dh, (h + 1) * dh)
+        attn = ((qs @ ks.transpose_last()) * scale).softmax()
+        outs.append(attn @ vs)
+    return outs[0] if heads == 1 else concat(outs, axis=-1)
+
+
+def reference_readout(x: Tensor, rows, weights, biases) -> Tensor:
+    cols = []
+    for i, w, b in zip(rows, weights, biases):
+        row = narrow(x, -2, i, i + 1)
+        cols.append((row * w).sum(axis=-1) + b)
+    return cols[0] if len(cols) == 1 else concat(cols, axis=-1)
 
 
 # -- brute-force metric references --------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptcl import (
+    AslConfig,
     ModelConfig,
     RunConfig,
     SyntheticSpec,
@@ -116,6 +117,20 @@ def test_run_config_defaults_and_validation():
         RunConfig(threshold=1.0)
     with pytest.raises(ValueError):
         RunConfig(ortho_weight=-0.1)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: RunConfig(lr=float("nan")), "lr"),
+    (lambda: RunConfig(lr=float("inf")), "lr"),
+    (lambda: RunConfig(threshold=float("nan")), "threshold"),
+    (lambda: RunConfig(ortho_weight=float("nan")), "ortho_weight"),
+    (lambda: RunConfig(ortho_weight=float("inf")), "ortho_weight"),
+    (lambda: AslConfig(gamma_neg=float("nan")), "gamma_neg"),
+    (lambda: AslConfig(gamma_pos=float("inf")), "gamma_pos"),
+])
+def test_configs_reject_non_finite_floats(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make()
 
 
 def test_run_config_round_trips_to_dict():

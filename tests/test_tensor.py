@@ -7,18 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradcheck, scaled_max_error
+from helpers import (
+    gradcheck,
+    reference_attention,
+    reference_layer_norm_affine,
+    reference_linear,
+    reference_readout,
+    scaled_max_error,
+)
 from promptcl import (
     Tensor,
     backward,
     concat,
     expand_leading,
     finite_difference_gradient,
+    layer_norm_affine,
+    linear,
+    multi_head_attention,
     narrow,
     no_grad,
     reset_tape,
+    row_readout,
     zero_grads,
 )
+from promptcl.tensor import active_tape
 
 
 def t(values, requires_grad=True):
@@ -108,6 +120,26 @@ OP_CASES = {
     ).sum(),
     "maximum": lambda p, r: p.maximum(0.1).sum(),
     "clamp": lambda p, r: p.clamp(-0.5, 0.5).sum(),
+    # the fused ops, with p feeding every differentiable input
+    "linear": lambda p, r: (
+        linear(p, p.transpose_last(), p.sum(axis=-1)) * t(r.normal(size=(3, 3)), False)
+    ).sum(),
+    "linear_residual_relu": lambda p, r: (
+        linear(p, p.transpose_last(), p.sum(axis=-1), residual=p @ p.transpose_last(), relu=True)
+        * t(r.normal(size=(3, 3)), False)
+    ).sum(),
+    "layer_norm_affine": lambda p, r: (
+        layer_norm_affine(p, p.mean(axis=0), p.sum(axis=0)) * t(r.normal(size=(3, 4)), False)
+    ).sum(),
+    "multi_head_attention": lambda p, r: (
+        multi_head_attention(p, p * t(r.normal(size=(3, 4)), False), p.exp(), heads=2)
+        * t(r.normal(size=(3, 4)), False)
+    ).sum(),
+    "row_readout": lambda p, r: (
+        row_readout(p, [2, 0, 2], [p.mean(axis=0), t(r.normal(size=(4,)), False), p.sum(axis=0)],
+                    [p.sum(), t(0.3, False), t(-0.1)])
+        * t(r.normal(size=(3,)), False)
+    ).sum(),
 }
 
 
@@ -121,6 +153,88 @@ def test_gradient_matches_finite_difference(name):
         frozen.normal(size=(3, 4))  # advance to match param draw
         err = gradcheck(lambda: build(param, rng_for(seed + 1000)), param)
         assert err <= 1e-4, f"{name} seed {seed}: scaled error {err}"
+
+
+FUSED = (linear, layer_norm_affine, multi_head_attention, row_readout)
+UNFUSED = (reference_linear, reference_layer_norm_affine, reference_attention, reference_readout)
+
+
+def _block_and_readout(ops, arrays, heads, rows, gamma_trainable):
+    """Pre-norm transformer block plus per-row readout, on fresh leaves."""
+    lin, norm_affine, attention, readout = ops
+    p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    p["gamma"].requires_grad = gamma_trainable
+    h = norm_affine(p["x"], p["gamma"], p["beta"])
+    q, k, v = lin(h, p["wq"], p["bq"]), lin(h, p["wk"], p["bk"]), lin(h, p["wv"], p["bv"])
+    x_o = lin(attention(q, k, v, heads), p["wo"], p["bo"], residual=p["x"])
+    hidden = lin(norm_affine(x_o, p["gamma"], p["beta"]), p["w1"], p["b1"], relu=True)
+    y = lin(hidden, p["w2"], p["b2"], residual=x_o)
+    logits = readout(y, rows, [p[f"head{j}_w"] for j in range(len(rows))],
+                     [p[f"head{j}_b"] for j in range(len(rows))])
+    loss = (logits * Tensor(arrays["target"][..., :len(rows)])).sum()
+    backward(loss)
+    reset_tape()
+    return [y.data, logits.data, loss.data], {name: leaf.grad for name, leaf in p.items()}
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("gamma_trainable", [True, False])
+@pytest.mark.parametrize("rows", [[3, 0, 4], [2]])
+def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_trainable, rows):
+    r = rng_for(batch * 10 + heads)
+    n, d = 5, 8
+    arrays = {"x": r.normal(size=(batch, n, d)), "gamma": 1.0 + 0.1 * r.normal(size=d),
+              "beta": 0.1 * r.normal(size=d), "target": r.normal(size=(batch, 3))}
+    for name, shape in (("q", (d, d)), ("k", (d, d)), ("v", (d, d)), ("o", (d, d)),
+                        ("1", (d, 4 * d)), ("2", (4 * d, d))):
+        arrays[f"w{name}"] = 0.3 * r.normal(size=shape)
+        arrays[f"b{name}"] = 0.1 * r.normal(size=shape[1])
+    for j in range(3):
+        arrays[f"head{j}_w"] = r.normal(size=d)
+        arrays[f"head{j}_b"] = np.float64(r.normal())
+    fused_outs, fused_grads = _block_and_readout(FUSED, arrays, heads, rows, gamma_trainable)
+    plain_outs, plain_grads = _block_and_readout(UNFUSED, arrays, heads, rows, gamma_trainable)
+    for fused, plain in zip(fused_outs, plain_outs):
+        assert fused.tobytes() == plain.tobytes()
+    assert (fused_grads["gamma"] is None) == (not gamma_trainable)
+    for name, plain in plain_grads.items():
+        fused = fused_grads[name]
+        if plain is None:
+            assert fused is None, name
+        else:
+            assert fused.shape == plain.shape and fused.tobytes() == plain.tobytes(), name
+
+
+def test_fused_ops_record_one_tape_entry_each():
+    x = t(np.ones((2, 3, 4)))
+    w, b, ones = t(np.ones((4, 4))), t(np.zeros(4)), t(np.ones(4))
+    for make in (
+        lambda: linear(x, w, b),
+        lambda: linear(x, w, b, residual=x, relu=True),
+        lambda: layer_norm_affine(x, ones, b),
+        lambda: multi_head_attention(x, x, x, heads=2),
+        lambda: row_readout(x, [0, 2], [b, ones], [t(0.0), t(1.0)]),
+    ):
+        reset_tape()
+        make()
+        assert len(active_tape()) == 1
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    x = t(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="linear"):
+        linear(x, t(np.zeros((3, 4))), t(np.zeros(4)))
+    with pytest.raises(ValueError, match="residual"):
+        linear(x, t(np.zeros((4, 4))), t(np.zeros(4)), residual=t(np.zeros((2, 4))))
+    with pytest.raises(ValueError, match="layer_norm_affine"):
+        layer_norm_affine(x, t(np.ones(3)), t(np.zeros(4)))
+    with pytest.raises(ValueError, match="multi_head_attention"):
+        multi_head_attention(x, x, x, heads=3)
+    with pytest.raises(ValueError, match="row_readout"):
+        row_readout(x, [3], [t(np.zeros(4))], [t(0.0)])
+    with pytest.raises(ValueError, match="row_readout"):
+        row_readout(x, [0, 1], [t(np.zeros(4))], [t(0.0)])
 
 
 def test_power_zero_exponent_has_zero_grad():

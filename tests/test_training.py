@@ -28,6 +28,7 @@ from promptcl import (
 from promptcl.adapters import compute_trainable_mask
 from promptcl.model import named_params
 from promptcl.prompts import add_class_prompts, freeze_previous
+from promptcl.tensor import active_tape
 from promptcl.training import _fit
 
 MICRO_MODEL = dict(embed_dim=8, layers=2, heads=2, image_side=8, patch_side=4,
@@ -154,6 +155,36 @@ def test_fit_rejects_empty_mask_and_empty_data():
              {n: True for n in named_params(state)}, 1, cfg, (0, "x"))
 
 
+def test_fit_leaves_tape_and_flags_clean_after_an_error():
+    ds = micro_dataset()
+    cfg = micro_config(epochs=1)
+    state = build_model(cfg.model)
+    task = build_task_stream(ds, 2, 2).tasks[0]
+    add_class_prompts(state.pool, state.bank, task.class_ids, stage=1)
+    mask = compute_trainable_mask(1, state.pool, state.bank, state.adapters, state.backbone)
+    images = ds.train_images[task.train_indices]
+    labels = np.zeros((images.shape[0], len(task.class_ids)))
+    labels[0, 0] = 2.0  # asl_loss rejects it after the forward pass has filled the tape
+    with pytest.raises(ValueError, match="0/1"):
+        _fit(state, images, labels, task.class_ids, mask, 1, cfg, (0, "x"))
+    assert len(active_tape()) == 0
+    assert all(t.requires_grad for t in named_params(state).values())
+
+
+def test_stage_with_a_nan_pixel_stops_before_the_weights_move():
+    ds = micro_dataset()
+    cfg = micro_config(epochs=1)
+    state = build_model(cfg.model)
+    task = build_task_stream(ds, 2, 2).tasks[0]
+    add_class_prompts(state.pool, state.bank, task.class_ids, stage=1)
+    ds.train_images[:, 3, 5] = np.nan  # one bad pixel in every image: step 0 diverges
+    before = params_digest(named_params(state))
+    with pytest.raises(ValueError, match="stage 1: loss is nan at step 0"):
+        train_stage(state, task, ds, cfg)
+    assert params_digest(named_params(state)) == before
+    assert len(active_tape()) == 0
+
+
 def test_training_is_seed_deterministic():
     def one_run():
         ds = micro_dataset()
@@ -189,6 +220,18 @@ def test_pretraining_rejects_populated_pool():
     add_class_prompts(state.pool, state.bank, [0], stage=1)
     with pytest.raises(ValueError):
         simulate_pretraining(state, pre, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the layer norm
+def test_diverging_pretraining_names_itself_and_refreezes_backbone():
+    pre = micro_dataset(seed=9)
+    pre.train_images[:, 0, 0] = np.inf
+    cfg = micro_config()
+    state = build_model(cfg.model)
+    with pytest.raises(ValueError, match="pretraining: loss is nan at step 0"):
+        simulate_pretraining(state, pre, cfg)
+    assert state.backbone.frozen is True
+    assert len(active_tape()) == 0
 
 
 # -- evaluation --------------------------------------------------------------
@@ -341,6 +384,16 @@ def test_benchmark_donor_backbone_and_conflicts(tmp_path):
     other = build_model(ModelConfig(**{**MICRO_MODEL, "embed_dim": 16, "adapter_dim": 4}))
     with pytest.raises(ValueError):
         run_benchmark(cfg, ds, backbone_from=other)
+
+
+def test_fine_tuning_leaves_the_donor_backbone_alone():
+    cfg = micro_config(epochs=1, method="fine_tuning")
+    donor = build_model(cfg.model)
+    before = params_digest(named_params(donor))
+    report = run_benchmark(cfg, micro_dataset(), backbone_from=donor)
+    assert all(s["trainable_params"] > 1000 for s in report.payload["sessions"])
+    assert params_digest(named_params(donor)) == before
+    assert donor.backbone.frozen is True
 
 
 def test_benchmark_writes_stage_checkpoints(tmp_path):

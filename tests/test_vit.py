@@ -255,3 +255,25 @@ def test_backbone_named_parameter_census():
     assert "backbone.l01.wq" in named and "backbone.l02.b2" in named
     assert named["backbone.patch_w"].shape == (16, 8)
     assert named["backbone.pos"].shape == (4, 8)
+
+
+# -- tape budget ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stage_mask, budget", [(False, 70), (True, 50)])
+def test_forward_and_loss_tape_budget(stage_mask, budget):
+    # Fused linear / affine-norm / attention / readout ops keep one step's
+    # tape short; the unfused chains recorded 275 and 164 entries here.
+    from promptcl import RunConfig, asl_loss, build_model, compute_trainable_mask, forward_logits
+    from promptcl.model import named_params
+    from promptcl.tensor import active_tape
+
+    state = build_model(ModelConfig())
+    add_class_prompts(state.pool, state.bank, [0, 1, 2, 3], stage=1)
+    if stage_mask:
+        mask = compute_trainable_mask(1, state.pool, state.bank, state.adapters, state.backbone)
+        for name, param in named_params(state).items():
+            param.requires_grad = mask[name]
+    images = np.random.default_rng(0).random((8, 16, 16))
+    asl_loss(forward_logits(state, images), np.zeros((8, 4)), RunConfig().asl)
+    assert len(active_tape()) <= budget
