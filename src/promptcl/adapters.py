@@ -29,9 +29,8 @@ class AdapterLayer:
 class AdapterStack:
     """One adapter per encoder block from ``adapter_start`` through ``layers``."""
 
-    def __init__(self, layers: dict[int, AdapterLayer], start: int):
+    def __init__(self, layers: dict[int, AdapterLayer]):
         self.layers = layers
-        self.start = start
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -46,21 +45,9 @@ class AdapterStack:
             out[f"adapter.l{layer:02d}.up_b"] = a.up_b
         return out
 
-    def set_frozen(self, frozen: bool) -> None:
-        for a in self.layers.values():
-            a.frozen = frozen
-
-    @property
-    def frozen(self) -> bool:
-        return all(a.frozen for a in self.layers.values())
-
 
 def attach_adapters(config: ModelConfig) -> AdapterStack:
     """Build zero-initialised adapters for blocks adapter_start..layers."""
-    if not 1 <= config.adapter_start <= config.layers:
-        raise ValueError(
-            f"attach_adapters: adapter_start {config.adapter_start} outside [1, {config.layers}]"
-        )
     d, dp = config.embed_dim, config.adapter_dim
     layers: dict[int, AdapterLayer] = {}
     for layer in range(config.adapter_start, config.layers + 1):
@@ -71,7 +58,7 @@ def attach_adapters(config: ModelConfig) -> AdapterStack:
             up_w=Tensor(np.zeros((dp, d)), requires_grad=True),
             up_b=Tensor(np.zeros(d), requires_grad=True),
         )
-    return AdapterStack(layers, config.adapter_start)
+    return AdapterStack(layers)
 
 
 def adapter_forward(x: Tensor, adapter: AdapterLayer) -> Tensor:

@@ -16,7 +16,7 @@ import zipfile
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .adapters import AdapterStack, attach_adapters
+from .adapters import attach_adapters
 from .model import ModelState, named_params
 from .prompts import ClassifierBank, HeadEntry, PromptEntry, PromptPool
 from .tensor import Tensor
@@ -47,18 +47,19 @@ def save_checkpoint(path, state: ModelState) -> None:
             if state.adapters is not None
             else {}
         ),
-        "pool": [
-            {"class_id": e.class_id, "stage_added": e.stage_added, "frozen": e.frozen}
-            for e in state.pool.entries
-        ],
-        "bank": [
-            {"class_id": e.class_id, "stage_added": e.stage_added, "frozen": e.frozen}
-            for e in state.bank.entries
-        ],
+        "pool": _records(state.pool),
+        "bank": _records(state.bank),
     }
     blobs = {name: t.data for name, t in named_params(state).items()}
     blobs["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     _write_npz(path, blobs)
+
+
+def _records(container) -> list[dict]:
+    return [
+        {"class_id": e.class_id, "stage_added": e.stage_added, "frozen": e.frozen}
+        for e in container.entries
+    ]
 
 
 def _write_npz(path, blobs: dict[str, np.ndarray]) -> None:
@@ -77,14 +78,28 @@ def _write_npz(path, blobs: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    with np.load(path) as bundle:
-        if "__meta__" not in bundle:
-            raise ValueError(f"load_checkpoint: {path} is not a checkpoint container (no metadata)")
-        meta = json.loads(bundle["__meta__"].tobytes().decode("utf-8"))
-        if meta.get("format") != FORMAT:
-            raise ValueError(f"load_checkpoint: unsupported container format {meta.get('format')!r}")
-        arrays = {k: bundle[k] for k in bundle.files if k != "__meta__"}
+    """Rebuild a saved state; a damaged or malformed file raises ValueError naming ``path``."""
+    try:
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError) as err:
+        # zipfile raises NotImplementedError / RuntimeError for a damaged
+        # version, compression or encryption field.
+        raise ValueError(f"load_checkpoint: {path} is not a readable container: {err}") from None
+    if "__meta__" not in arrays:
+        raise ValueError(f"load_checkpoint: {path} is not a checkpoint container (no metadata)")
+    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    try:
+        return _restore(meta, arrays)
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(
+            f"load_checkpoint: {path} has malformed metadata ({type(err).__name__}: {err})"
+        ) from None
 
+
+def _restore(meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
+    if meta.get("format") != FORMAT:
+        raise ValueError(f"load_checkpoint: unsupported container format {meta.get('format')!r}")
     config = ModelConfig(**meta["config"])
     backbone = EncoderParams(config)
     backbone.frozen = bool(meta["backbone_frozen"])
@@ -100,25 +115,18 @@ def load_checkpoint(path) -> ModelState:
             raise ValueError(f"load_checkpoint: metadata promises array {name} but it is missing")
         return arrays[name]
 
-    pool = PromptPool(config.embed_dim, seed=config.seed)
-    bank = ClassifierBank(config.embed_dim, seed=config.seed)
-    for rec in meta["pool"]:
-        cid = int(rec["class_id"])
-        vec = fetch(f"prompt.{cid:04d}")
-        pool.entries.append(
-            PromptEntry(cid, Tensor(vec, requires_grad=True), bool(rec["frozen"]), int(rec["stage_added"]))
-        )
-    for rec in meta["bank"]:
-        cid = int(rec["class_id"])
-        bank.entries.append(
-            HeadEntry(
-                cid,
-                Tensor(fetch(f"head.{cid:04d}.w"), requires_grad=True),
-                Tensor(fetch(f"head.{cid:04d}.b"), requires_grad=True),
-                bool(rec["frozen"]),
-                int(rec["stage_added"]),
-            )
-        )
+    def restore(container, records, entry_cls, *names):
+        """Append one entry per record; ``names`` format the class id into array names."""
+        for rec in records:
+            cid = int(rec["class_id"])
+            tensors = [Tensor(fetch(name.format(cid)), requires_grad=True) for name in names]
+            container.entries.append(entry_cls(cid, *tensors, bool(rec["frozen"]), int(rec["stage_added"])))
+        return container
+
+    pool = restore(PromptPool(config.embed_dim, config.seed), meta["pool"], PromptEntry, "prompt.{:04d}")
+    bank = restore(
+        ClassifierBank(config.embed_dim, config.seed), meta["bank"], HeadEntry, "head.{:04d}.w", "head.{:04d}.b"
+    )
 
     state = ModelState(config, backbone, adapters, pool, bank)
     named = named_params(state)

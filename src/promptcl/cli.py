@@ -16,6 +16,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_run_config, parse_config_file, print_config
 from .datagen import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
 from .model import build_model
+from .protocol import METHODS
 from .reporting import load_report, render_report, write_report
 from .training import run_benchmark, simulate_pretraining
 
@@ -67,7 +68,6 @@ def _cmd_pretrain(args) -> int:
     cfg = build_run_config(values)
     dataset = load_dataset(values["pretrain_dataset"])
     state = build_model(cfg.model, use_adapters=False)
-    state.adapters = None
     stats = simulate_pretraining(state, dataset, cfg)
     out_dir = _resolve_out_dir(args.out_dir, values["out_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run the incremental benchmark")
     r.add_argument("--config", default=None)
-    r.add_argument("--method", default=None, choices=["p2l_ca", "p2l_ca_plus", "fine_tuning"])
+    r.add_argument("--method", default=None, choices=METHODS)
     r.add_argument("--out-dir", default=None)
     r.add_argument("--print-config", action="store_true",
                    help="print the config schema with defaults and exit")

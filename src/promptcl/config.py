@@ -2,13 +2,30 @@
 
 The format is one assignment per line, ``#`` comments allowed. Every key
 must be in the schema below; parse errors carry the 1-based line number.
+
+The schema is derived from the fields of ``ModelConfig``, ``AslConfig``
+and ``RunConfig``: a field with ``help`` metadata declares a key (named by
+its ``key`` metadata, else by the field) whose converter and default are
+the field's type and default. Only the paths the CLI reads itself are
+declared here.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_type_hints
+
 from .losses import AslConfig
 from .protocol import RunConfig
 from .vit import ModelConfig
+
+# key -> (default, help) of the inputs and outputs the CLI resolves itself
+PATH_KEYS = {
+    "dataset": ("", "directory of the benchmark dataset (required for run)"),
+    "pretrain_dataset": ("", "directory of the pretraining dataset (for the pretrain command)"),
+    "pretrain_checkpoint": ("", "checkpoint whose backbone seeds the run (optional)"),
+    "out_dir": ("runs", "where reports and checkpoints are written"),
+}
 
 
 def _bool(text: str) -> bool:
@@ -20,37 +37,23 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# field type -> parser of its file value
+CONVERTERS = {int: int, float: float, str: str, bool: _bool}
+
+
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
 # key -> (converter, default, help)
 SCHEMA: dict[str, tuple] = {
-    "dataset": (str, "", "directory of the benchmark dataset (required for run)"),
-    "pretrain_dataset": (str, "", "directory of the pretraining dataset (for the pretrain command)"),
-    "pretrain_checkpoint": (str, "", "checkpoint whose backbone seeds the run (optional)"),
-    "out_dir": (str, "runs", "where reports and checkpoints are written"),
-    "method": (str, "p2l_ca", "p2l_ca | p2l_ca_plus | fine_tuning"),
-    "seed": (int, 0, "master seed for init, batching and data order"),
-    "embed_dim": (int, 32, "token embedding width"),
-    "layers": (int, 4, "number of transformer blocks"),
-    "heads": (int, 4, "attention heads per block"),
-    "image_side": (int, 16, "input image side length"),
-    "patch_side": (int, 4, "patch side length"),
-    "prompt_layer": (int, 2, "prompts join after this many blocks"),
-    "adapter_start": (int, 3, "first adapted block (1-indexed)"),
-    "adapter_dim": (int, 8, "adapter bottleneck width"),
-    "gamma_pos": (float, 0.0, "positive focusing power of the asymmetric loss"),
-    "gamma_neg": (float, 4.0, "negative focusing power of the asymmetric loss"),
-    "clamp_eps": (float, 1e-7, "probability clamp for the loss"),
-    "base_classes": (int, 4, "classes in the first task (0 means inc_classes)"),
-    "inc_classes": (int, 4, "classes added by each later task"),
-    "lr": (float, 4e-4, "initial Adam learning rate (cosine-decayed per stage)"),
-    "epochs": (int, 20, "epochs per incremental stage"),
-    "batch_size": (int, 64, "minibatch size (capped by the task's sample count)"),
-    "pretrain_epochs": (int, 15, "epochs for the one-off backbone pretraining"),
-    "threshold": (float, 0.5, "probability threshold for CF1/OF1"),
-    "use_adapters": (_bool, True, "attach bottleneck adapters"),
-    "ca_unfrozen": (_bool, False, "ablation: keep adapters trainable in every stage"),
-    "prompts_unfrozen": (_bool, False, "ablation: keep old prompts trainable"),
-    "ortho_weight": (float, 0.0, "weight of the prompt orthogonality penalty (0 disables)"),
-    "semantic_embeddings": (str, "", "embedding table for p2l_ca_plus prompt init"),
+    **{key: (str, default, help_text) for key, (default, help_text) in PATH_KEYS.items()},
+    **{
+        _key(f): (CONVERTERS[get_type_hints(cls)[f.name]], f.default, f.metadata["help"])
+        for cls in (ModelConfig, AslConfig, RunConfig)
+        for f in fields(cls)
+        if "help" in f.metadata
+    },
 }
 
 
@@ -97,37 +100,8 @@ def print_config() -> str:
 
 
 def build_run_config(values: dict) -> RunConfig:
-    model = ModelConfig(
-        embed_dim=values["embed_dim"],
-        layers=values["layers"],
-        heads=values["heads"],
-        image_side=values["image_side"],
-        patch_side=values["patch_side"],
-        prompt_layer=values["prompt_layer"],
-        adapter_start=values["adapter_start"],
-        adapter_dim=values["adapter_dim"],
-        seed=values["seed"],
-    )
-    asl = AslConfig(
-        gamma_pos=values["gamma_pos"],
-        gamma_neg=values["gamma_neg"],
-        clamp_eps=values["clamp_eps"],
-    )
-    return RunConfig(
-        model=model,
-        asl=asl,
-        base_classes=values["base_classes"],
-        inc_classes=values["inc_classes"],
-        method=values["method"],
-        lr=values["lr"],
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        pretrain_epochs=values["pretrain_epochs"],
-        threshold=values["threshold"],
-        seed=values["seed"],
-        use_adapters=values["use_adapters"],
-        ca_unfrozen=values["ca_unfrozen"],
-        prompts_unfrozen=values["prompts_unfrozen"],
-        ortho_weight=values["ortho_weight"],
-        semantic_path=values["semantic_embeddings"],
-    )
+    def read(cls, **nested):
+        # a field without help reads a key declared elsewhere: ModelConfig.seed reads seed
+        return cls(**{f.name: values[_key(f)] for f in fields(cls) if f.name not in nested}, **nested)
+
+    return read(RunConfig, model=read(ModelConfig), asl=read(AslConfig))

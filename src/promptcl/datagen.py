@@ -47,14 +47,6 @@ class ShiftParams:
         if self.contrast == 0.0:
             raise ValueError("ShiftParams: contrast of zero is not invertible")
 
-    def to_dict(self) -> dict:
-        return {
-            "contrast": self.contrast,
-            "offset": self.offset,
-            "cell_perm_seed": self.cell_perm_seed,
-            "cell_side": self.cell_side,
-        }
-
 
 @dataclass
 class SyntheticSpec:

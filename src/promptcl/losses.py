@@ -14,7 +14,7 @@ the columns to the classes of the task being trained before calling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .tensor import Tensor
 
 @dataclass
 class AslConfig:
-    gamma_pos: float = 0.0
-    gamma_neg: float = 4.0
-    clamp_eps: float = 1e-7
+    gamma_pos: float = field(default=0.0, metadata={"help": "positive focusing power of the asymmetric loss"})
+    gamma_neg: float = field(default=4.0, metadata={"help": "negative focusing power of the asymmetric loss"})
+    clamp_eps: float = field(default=1e-7, metadata={"help": "probability clamp for the loss"})
 
     def __post_init__(self):
         for name in ("gamma_pos", "gamma_neg", "clamp_eps"):
@@ -39,11 +39,7 @@ class AslConfig:
             raise ValueError(f"AslConfig: clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_pos": self.gamma_pos,
-            "gamma_neg": self.gamma_neg,
-            "clamp_eps": self.clamp_eps,
-        }
+        return asdict(self)
 
 
 def asl_loss(logits: Tensor, targets, config: AslConfig) -> Tensor:

@@ -38,24 +38,19 @@ class HeadEntry:
 
 @dataclass
 class SemanticInit:
-    """Per-class embedding vectors loaded from a text file.
-
-    ``context`` is an optional block of shared context rows kept only for
-    inspection; projection uses the per-class vectors alone.
-    """
+    """Per-class embedding vectors loaded from a text file."""
 
     vectors: dict[int, np.ndarray]
     dim: int
-    context: np.ndarray | None = None
 
 
-class PromptPool:
-    """Ordered collection of per-class prompt tokens."""
+class _ClassEntries:
+    """Ordered per-class entries sharing a width and an init seed."""
 
     def __init__(self, dim: int, seed: int = 0):
         self.dim = int(dim)
         self.seed = int(seed)
-        self.entries: list[PromptEntry] = []
+        self.entries: list = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,11 +59,23 @@ class PromptPool:
     def class_ids(self) -> list[int]:
         return [e.class_id for e in self.entries]
 
-    def entry(self, class_id: int) -> PromptEntry:
+    def entry(self, class_id: int):
         for e in self.entries:
             if e.class_id == class_id:
                 return e
-        raise KeyError(f"prompt pool has no class {class_id}")
+        raise KeyError(f"{type(self).__name__} has no class {class_id}")
+
+    def reordered(self, order: list[int]):
+        """Container of the same class sharing the same tensors, entries permuted (for tests)."""
+        if sorted(order) != list(range(len(self.entries))):
+            raise ValueError(f"reordered: {order} is not a permutation of {len(self.entries)} entries")
+        out = type(self)(self.dim, self.seed)
+        out.entries = [self.entries[i] for i in order]
+        return out
+
+
+class PromptPool(_ClassEntries):
+    """Ordered collection of per-class prompt tokens."""
 
     def stacked(self) -> Tensor | None:
         """All prompt vectors as one (n, dim) tensor, in pool order."""
@@ -80,48 +87,15 @@ class PromptPool:
     def named(self) -> dict[str, Tensor]:
         return {f"prompt.{e.class_id:04d}": e.vector for e in self.entries}
 
-    def reordered(self, order: list[int]) -> "PromptPool":
-        """Pool sharing the same tensors with entries permuted (for tests)."""
-        if sorted(order) != list(range(len(self.entries))):
-            raise ValueError(f"reordered: {order} is not a permutation of {len(self.entries)} entries")
-        out = PromptPool(self.dim, self.seed)
-        out.entries = [self.entries[i] for i in order]
-        return out
 
-
-class ClassifierBank:
+class ClassifierBank(_ClassEntries):
     """Per-class linear readouts, kept in the same order as the pool."""
-
-    def __init__(self, dim: int, seed: int = 0):
-        self.dim = int(dim)
-        self.seed = int(seed)
-        self.entries: list[HeadEntry] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def class_ids(self) -> list[int]:
-        return [e.class_id for e in self.entries]
-
-    def entry(self, class_id: int) -> HeadEntry:
-        for e in self.entries:
-            if e.class_id == class_id:
-                return e
-        raise KeyError(f"classifier bank has no class {class_id}")
 
     def named(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for e in self.entries:
             out[f"head.{e.class_id:04d}.w"] = e.weight
             out[f"head.{e.class_id:04d}.b"] = e.bias
-        return out
-
-    def reordered(self, order: list[int]) -> "ClassifierBank":
-        if sorted(order) != list(range(len(self.entries))):
-            raise ValueError(f"reordered: {order} is not a permutation of {len(self.entries)} entries")
-        out = ClassifierBank(self.dim, self.seed)
-        out.entries = [self.entries[i] for i in order]
         return out
 
 

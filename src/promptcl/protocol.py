@@ -12,7 +12,7 @@ learned so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,20 +78,31 @@ def build_task_stream(dataset, base: int, inc: int) -> TaskStream:
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     asl: AslConfig = field(default_factory=AslConfig)
-    base_classes: int = 4
-    inc_classes: int = 4
-    method: str = "p2l_ca"
-    lr: float = 4e-4
-    epochs: int = 20
-    batch_size: int = 64
-    pretrain_epochs: int = 15
-    threshold: float = 0.5
-    seed: int = 0
-    use_adapters: bool = True
-    ca_unfrozen: bool = False
-    prompts_unfrozen: bool = False
-    ortho_weight: float = 0.0
-    semantic_path: str = ""
+    base_classes: int = field(default=4, metadata={"help": "classes in the first task (0 means inc_classes)"})
+    inc_classes: int = field(default=4, metadata={"help": "classes added by each later task"})
+    method: str = field(default="p2l_ca", metadata={"help": " | ".join(METHODS)})
+    lr: float = field(
+        default=4e-4, metadata={"help": "initial Adam learning rate (cosine-decayed per stage)"}
+    )
+    epochs: int = field(default=20, metadata={"help": "epochs per incremental stage"})
+    batch_size: int = field(
+        default=64, metadata={"help": "minibatch size (capped by the task's sample count)"}
+    )
+    pretrain_epochs: int = field(default=15, metadata={"help": "epochs for the one-off backbone pretraining"})
+    threshold: float = field(default=0.5, metadata={"help": "probability threshold for CF1/OF1"})
+    seed: int = field(default=0, metadata={"help": "master seed for init, batching and data order"})
+    use_adapters: bool = field(default=True, metadata={"help": "attach bottleneck adapters"})
+    ca_unfrozen: bool = field(
+        default=False, metadata={"help": "ablation: keep adapters trainable in every stage"}
+    )
+    prompts_unfrozen: bool = field(default=False, metadata={"help": "ablation: keep old prompts trainable"})
+    ortho_weight: float = field(
+        default=0.0, metadata={"help": "weight of the prompt orthogonality penalty (0 disables)"}
+    )
+    semantic_path: str = field(
+        default="",
+        metadata={"help": "embedding table for p2l_ca_plus prompt init", "key": "semantic_embeddings"},
+    )
 
     def __post_init__(self):
         for name in ("lr", "threshold", "ortho_weight"):
@@ -110,22 +121,4 @@ class RunConfig:
             raise ValueError(f"RunConfig: ortho_weight must be >= 0, got {self.ortho_weight}")
 
     def to_dict(self) -> dict:
-        out = {
-            "model": self.model.to_dict(),
-            "asl": self.asl.to_dict(),
-            "base_classes": self.base_classes,
-            "inc_classes": self.inc_classes,
-            "method": self.method,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "pretrain_epochs": self.pretrain_epochs,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "use_adapters": self.use_adapters,
-            "ca_unfrozen": self.ca_unfrozen,
-            "prompts_unfrozen": self.prompts_unfrozen,
-            "ortho_weight": self.ortho_weight,
-            "semantic_path": self.semantic_path,
-        }
-        return out
+        return asdict(self)

@@ -227,7 +227,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     if backbone_from is not None:
         if pretrain is not None:
             raise ValueError("run_benchmark: give either a pretraining dataset or a donor backbone")
-        if backbone_from.config.to_dict() != cfg.model.to_dict():
+        if backbone_from.config != cfg.model:
             raise ValueError("run_benchmark: donor backbone was built for a different model config")
         # Copy the donor's weights into this run's own backbone: the run
         # trains it (fine_tuning), and the donor belongs to the caller.

@@ -9,7 +9,7 @@ adapter wired in parallel with the MLP branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,15 +29,15 @@ MLP_RATIO = 4
 
 @dataclass
 class ModelConfig:
-    embed_dim: int = 32
-    layers: int = 4
-    heads: int = 4
-    image_side: int = 16
-    patch_side: int = 4
-    prompt_layer: int = 2    # prompts join after this many blocks
-    adapter_start: int = 3   # first adapted block, 1-indexed
-    adapter_dim: int = 8     # bottleneck width
-    seed: int = 0
+    embed_dim: int = field(default=32, metadata={"help": "token embedding width"})
+    layers: int = field(default=4, metadata={"help": "number of transformer blocks"})
+    heads: int = field(default=4, metadata={"help": "attention heads per block"})
+    image_side: int = field(default=16, metadata={"help": "input image side length"})
+    patch_side: int = field(default=4, metadata={"help": "patch side length"})
+    prompt_layer: int = field(default=2, metadata={"help": "prompts join after this many blocks"})
+    adapter_start: int = field(default=3, metadata={"help": "first adapted block (1-indexed)"})
+    adapter_dim: int = field(default=8, metadata={"help": "adapter bottleneck width"})
+    seed: int = 0  # not a file key: build_run_config passes the run's seed
 
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
@@ -68,17 +68,7 @@ class ModelConfig:
         return self.grid_side * self.grid_side
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "image_side": self.image_side,
-            "patch_side": self.patch_side,
-            "prompt_layer": self.prompt_layer,
-            "adapter_start": self.adapter_start,
-            "adapter_dim": self.adapter_dim,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass

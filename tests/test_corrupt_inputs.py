@@ -1,0 +1,159 @@
+"""Damaged input files: the CLI answers with one ``error:`` line, never a traceback.
+
+A checkpoint is cut at any offset or has one bit flipped, either anywhere
+or inside its zip headers, where most flips are not caught by a content
+checksum. The same is done to one ``.sample`` file of a dataset. Each case
+must either fail with exit code 1 and a single ``error:`` line on stderr,
+or succeed with exactly the output of the intact file (a flipped zip
+timestamp, say, changes no content).
+"""
+
+import contextlib
+import io
+import json
+import zipfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from promptcl.checkpoint import _write_npz, save_checkpoint
+from promptcl.cli import main
+from promptcl.model import build_model
+from promptcl.prompts import add_class_prompts
+from promptcl.vit import ModelConfig
+
+TINY = ModelConfig(embed_dim=8, layers=2, heads=2, image_side=8, patch_side=4,
+                   prompt_layer=1, adapter_start=2, adapter_dim=3)
+
+RUN_CONF = """
+dataset = {dataset}
+out_dir = {out_dir}
+embed_dim = 8
+layers = 2
+heads = 2
+image_side = 8
+patch_side = 4
+prompt_layer = 1
+adapter_start = 2
+adapter_dim = 3
+base_classes = 2
+inc_classes = 2
+epochs = 1
+batch_size = 8
+"""
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call.
+
+    An exception escaping ``main`` is what the console script would print
+    as a traceback, so it is left to fail the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def zip_header_offsets(path) -> list[int]:
+    """Byte offsets of every local header, the central directory and its end record."""
+    blob = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    offsets = []
+    for info in infos:
+        start = info.header_offset
+        offsets.extend(range(start, start + 30 + len(info.filename) + len(info.extra)))
+    offsets.extend(range(blob.index(b"PK\x01\x02"), len(blob)))
+    return offsets
+
+
+def damage(data, blob: bytes, hot: list[int]) -> bytes:
+    if data.draw(st.booleans(), label="cut"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    pos = data.draw(st.one_of(st.integers(0, len(blob) - 1), st.sampled_from(hot)), label="byte")
+    out = bytearray(blob)
+    out[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    return bytes(out)
+
+
+def check_damaged(path, blob: bytes, damaged: bytes, argv, intact_out: str) -> None:
+    path.write_bytes(damaged)
+    try:
+        rc, out, err = run_cli(argv)
+    finally:
+        path.write_bytes(blob)
+    if rc == 0:
+        assert out == intact_out and err == ""
+    else:
+        assert rc == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.npz"
+    state = build_model(TINY)
+    add_class_prompts(state.pool, state.bank, [0, 1, 2], stage=1)
+    save_checkpoint(path, state)
+    argv = ["dump-prompts", "--checkpoint", str(path)]
+    rc, intact_out, _ = run_cli(argv)
+    assert rc == 0
+    return path, path.read_bytes(), zip_header_offsets(path), argv, intact_out
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data")
+    rc, _, _ = run_cli([
+        "gen-data", "--out", str(root / "ds"), "--classes", "4", "--image-side", "8",
+        "--stamp-side", "4", "--train", "16", "--test", "12", "--max-labels", "2",
+        "--min-positive", "2", "--seed", "1",
+    ])
+    assert rc == 0
+    conf = root / "run.conf"
+    conf.write_text(RUN_CONF.format(dataset=root / "ds", out_dir=root / "runs"))
+    argv = ["run", "--config", str(conf)]
+    rc, intact_out, _ = run_cli(argv)
+    assert rc == 0
+    path = root / "ds" / "train" / "0003.sample"
+    blob = path.read_bytes()
+    labels = list(range(len(blob) - 4, len(blob)))  # one label byte per class
+    return path, blob, labels, argv, intact_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_gives_one_error_line(checkpoint, data):
+    path, blob, hot, argv, intact_out = checkpoint
+    check_damaged(path, blob, damage(data, blob, hot), argv, intact_out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_sample_file_gives_one_error_line(dataset, data):
+    path, blob, hot, argv, intact_out = dataset
+    check_damaged(path, blob, damage(data, blob, hot), argv, intact_out)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda meta: {k: v for k, v in meta.items() if k != "bank"}, "KeyError"),
+    (lambda meta: {**meta, "config": {**meta["config"], "depth": 3}}, "TypeError"),
+    (lambda meta: sorted(meta), "AttributeError"),
+], ids=["missing-field", "unknown-config-field", "not-an-object"])
+def test_malformed_checkpoint_metadata_names_the_file(checkpoint, tmp_path, edit, needle):
+    src = checkpoint[0]
+    with np.load(src) as bundle:
+        blobs = {k: bundle[k] for k in bundle.files}
+    meta = edit(json.loads(blobs["__meta__"].tobytes().decode("utf-8")))
+    blobs["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    path = tmp_path / "edited.npz"
+    _write_npz(path, blobs)
+    rc, out, err = run_cli(["dump-prompts", "--checkpoint", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: load_checkpoint: {path} has malformed metadata ({needle}")
+    assert len(err.splitlines()) == 1
