@@ -14,7 +14,6 @@ import numpy as np
 
 from .seeds import normal_init, seeded_rng
 from .tensor import Tensor, linear
-from .vit import ModelConfig
 
 
 @dataclass
@@ -46,8 +45,8 @@ class AdapterStack:
         return out
 
 
-def attach_adapters(config: ModelConfig) -> AdapterStack:
-    """Build zero-initialised adapters for blocks adapter_start..layers."""
+def attach_adapters(config) -> AdapterStack:
+    """Build zero-initialised adapters for blocks adapter_start..layers of a ``ModelConfig``."""
     d, dp = config.embed_dim, config.adapter_dim
     layers: dict[int, AdapterLayer] = {}
     for layer in range(config.adapter_start, config.layers + 1):

@@ -4,6 +4,11 @@ A checkpoint is a single ``.npz`` holding every parameter array under its
 canonical name plus a JSON metadata blob (model config, class registry,
 frozen flags). Arrays are stored losslessly, so save -> load -> save
 reproduces identical parameter bytes; tests hold the package to that.
+
+The ``adapters_frozen`` map is always all-false: adapters train in stage
+1 alone because ``compute_trainable_mask`` says so, not through their
+``frozen`` flag, which nothing sets. The map stays because the
+``promptcl-checkpoint-1`` format carries it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import hashlib
 import io
 import json
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -39,7 +45,7 @@ def params_digest(named: dict[str, Tensor], names=None) -> str:
 def save_checkpoint(path, state: ModelState) -> None:
     meta = {
         "format": FORMAT,
-        "config": state.config.to_dict(),
+        "config": asdict(state.config),
         "backbone_frozen": state.backbone.frozen,
         "has_adapters": state.adapters is not None,
         "adapters_frozen": (
@@ -90,17 +96,20 @@ def load_checkpoint(path) -> ModelState:
         raise ValueError(f"load_checkpoint: {path} is not a checkpoint container (no metadata)")
     meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
     try:
-        return _restore(meta, arrays)
+        return _restore(path, meta, arrays)
     except (AttributeError, KeyError, TypeError) as err:
         raise ValueError(
             f"load_checkpoint: {path} has malformed metadata ({type(err).__name__}: {err})"
         ) from None
 
 
-def _restore(meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
+def _restore(path, meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
     if meta.get("format") != FORMAT:
         raise ValueError(f"load_checkpoint: unsupported container format {meta.get('format')!r}")
-    config = ModelConfig(**meta["config"])
+    try:
+        config = ModelConfig(**meta["config"])
+    except ValueError as err:
+        raise ValueError(f"load_checkpoint: {path} has malformed metadata ({err})") from None
     backbone = EncoderParams(config)
     backbone.frozen = bool(meta["backbone_frozen"])
 

@@ -21,7 +21,7 @@ from .reporting import load_report, render_report, write_report
 from .training import run_benchmark, simulate_pretraining
 
 
-def _resolve_out_dir(flag_value, config_value=None, default="runs"):
+def _resolve_out_dir(flag_value, config_value=None):
     env = os.environ.get("PROMPTCL_OUT_DIR")
     if env:
         return env
@@ -29,7 +29,7 @@ def _resolve_out_dir(flag_value, config_value=None, default="runs"):
         return flag_value
     if config_value:
         return config_value
-    return default
+    return "runs"
 
 
 def _cmd_gen_data(args) -> int:

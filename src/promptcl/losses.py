@@ -14,7 +14,7 @@ the columns to the classes of the task being trained before calling.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class AslConfig:
             )
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError(f"AslConfig: clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def asl_loss(logits: Tensor, targets, config: AslConfig) -> Tensor:

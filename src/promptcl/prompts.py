@@ -78,11 +78,10 @@ class PromptPool(_ClassEntries):
     """Ordered collection of per-class prompt tokens."""
 
     def stacked(self) -> Tensor | None:
-        """All prompt vectors as one (n, dim) tensor, in pool order."""
+        """All prompt vectors as one (n, dim) tensor, in pool order: two tape entries for any n."""
         if not self.entries:
             return None
-        rows = [reshape(e.vector, (1, self.dim)) for e in self.entries]
-        return rows[0] if len(rows) == 1 else concat(rows, axis=0)
+        return reshape(concat([e.vector for e in self.entries], axis=0), (len(self.entries), self.dim))
 
     def named(self) -> dict[str, Tensor]:
         return {f"prompt.{e.class_id:04d}": e.vector for e in self.entries}
@@ -122,7 +121,7 @@ def add_class_prompts(
     stage: int,
     init_mode: str = "random",
     semantic: SemanticInit | None = None,
-) -> tuple[PromptPool, ClassifierBank]:
+) -> None:
     """Register new classes: one trainable prompt and one head each.
 
     ``init_mode`` is "random" (N(0, 0.02^2) draws) or "semantic" (prompt
@@ -160,7 +159,6 @@ def add_class_prompts(
         bank.entries.append(
             HeadEntry(cid, Tensor(w, requires_grad=True), Tensor(0.0, requires_grad=True), False, stage)
         )
-    return pool, bank
 
 
 def freeze_previous(
@@ -168,14 +166,13 @@ def freeze_previous(
     bank: ClassifierBank,
     current_stage: int,
     freeze_prompts: bool = True,
-    freeze_heads: bool = True,
 ) -> None:
     """Mark entries from earlier sessions frozen. Safe to call repeatedly."""
     for e in pool.entries:
         if freeze_prompts and e.stage_added < current_stage:
             e.frozen = True
     for e in bank.entries:
-        if freeze_heads and e.stage_added < current_stage:
+        if e.stage_added < current_stage:
             e.frozen = True
 
 
@@ -210,9 +207,8 @@ def orthogonality_penalty(pool: PromptPool) -> Tensor:
     for e in pool.entries:
         if not np.any(e.vector.data):
             raise ValueError(f"orthogonality_penalty: prompt {e.class_id} has zero norm")
-        sq = (e.vector * e.vector).sum()
-        rows.append(reshape(e.vector * sq ** -0.5, (1, pool.dim)))
-    normed = rows[0] if len(rows) == 1 else concat(rows, axis=0)
+        rows.append(e.vector * (e.vector * e.vector).sum() ** -0.5)
+    normed = reshape(concat(rows, axis=0), (len(rows), pool.dim))
     gram = normed @ normed.transpose_last()
     off = gram * Tensor(1.0 - np.eye(len(rows)))
     return (off * off).sum()
@@ -223,7 +219,7 @@ def load_semantic_embeddings(path) -> SemanticInit:
 
     One row per class: ``class_id<TAB>v1,v2,...,vD`` with a shared D across
     rows. Raises with the offending 1-based line number on malformed rows,
-    duplicate ids, ragged dimensions, or an empty table.
+    non-finite values, duplicate ids, ragged dimensions, or an empty table.
     """
     vectors: dict[int, np.ndarray] = {}
     lines_seen: dict[int, int] = {}
@@ -244,6 +240,8 @@ def load_semantic_embeddings(path) -> SemanticInit:
                 vec = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparsable embedding values") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
             if cid in vectors:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate class {cid} (first seen line {lines_seen[cid]})"

@@ -115,6 +115,8 @@ class RunConfig:
                 f"RunConfig: bad optimizer settings lr={self.lr} epochs={self.epochs} "
                 f"batch_size={self.batch_size}"
             )
+        if self.pretrain_epochs < 1:
+            raise ValueError(f"RunConfig: pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"RunConfig: threshold must lie in (0, 1), got {self.threshold}")
         if self.ortho_weight < 0:

@@ -12,6 +12,14 @@ import json
 import os
 from dataclasses import dataclass, field
 
+REPORT_FORMAT = "promptcl-report-1"
+# every other top-level key of report.json -> type of its value
+REPORT_FIELDS = {
+    "method": str, "config": dict, "dataset": dict, "pretrained": bool, "sessions": list,
+    "accuracy_matrix": list, "last_map": float, "avg_map": float, "final_cf1": float,
+    "final_of1": float, "forgetting": float, "freeze_audit": list, "rules": dict, "hashes": dict,
+}
+
 
 @dataclass
 class Report:
@@ -27,11 +35,11 @@ class Report:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: Report, out_dir, stem: str = "report") -> dict[str, str]:
+def write_report(report: Report, out_dir) -> dict[str, str]:
     """Write report.json, sessions.csv and timing.json; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "report": os.path.join(out_dir, f"{stem}.json"),
+        "report": os.path.join(out_dir, "report.json"),
         "sessions": os.path.join(out_dir, "sessions.csv"),
         "timing": os.path.join(out_dir, "timing.json"),
     }
@@ -64,8 +72,15 @@ def write_report(report: Report, out_dir, stem: str = "report") -> dict[str, str
 
 
 def load_report(path) -> dict:
+    """Read a report.json; raises ValueError naming ``path`` unless it holds a report."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
+        raise ValueError(f"load_report: {path} is not a {REPORT_FORMAT} file")
+    for key, kind in REPORT_FIELDS.items():
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"load_report: {path}: {key!r} is missing or not a {kind.__name__}")
+    return payload
 
 
 def render_report(payload: dict) -> str:

@@ -31,7 +31,7 @@ from .prompts import (
     orthogonality_penalty,
 )
 from .protocol import RunConfig, Task, TaskStream, build_task_stream
-from .reporting import Report
+from .reporting import REPORT_FORMAT, Report
 from .seeds import seeded_rng
 from .tensor import backward, reset_tape, zero_grads
 
@@ -198,7 +198,7 @@ def evaluate_session(state: ModelState, dataset: Dataset, stream: TaskStream, up
 
 
 def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = None,
-                  semantic=None, out_dir=None, backbone_from: ModelState | None = None) -> Report:
+                  out_dir=None, backbone_from: ModelState | None = None) -> Report:
     """Drive the full incremental protocol and assemble the report.
 
     ``pretrain`` triggers the one-off backbone pretraining inline;
@@ -209,7 +209,8 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     """
     t_start = time.perf_counter()
     init_mode = "semantic" if cfg.method == "p2l_ca_plus" else "random"
-    if init_mode == "semantic" and semantic is None:
+    semantic = None
+    if init_mode == "semantic":
         if not cfg.semantic_path:
             raise ValueError("run_benchmark: p2l_ca_plus needs a semantic embedding table")
         semantic = load_semantic_embeddings(cfg.semantic_path)
@@ -257,8 +258,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
             add_class_prompts(state.pool, state.bank, task.class_ids, stage,
                               init_mode=init_mode, semantic=semantic)
             if not fine_tuning:
-                freeze_previous(state.pool, state.bank, stage,
-                                freeze_prompts=not cfg.prompts_unfrozen, freeze_heads=True)
+                freeze_previous(state.pool, state.bank, stage, freeze_prompts=not cfg.prompts_unfrozen)
             mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters,
                                           state.backbone, ca_unfrozen=cfg.ca_unfrozen)
             named = named_params(state)
@@ -296,7 +296,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
 
         final_ckpt = os.path.join(out_dir, f"stage_{len(stream.tasks):02d}.npz")
         payload = {
-            "format": "promptcl-report-1",
+            "format": REPORT_FORMAT,
             "method": cfg.method,
             "config": cfg.to_dict(),
             "dataset": {

@@ -9,10 +9,12 @@ adapter wired in parallel with the MLP branch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adapters import AdapterLayer, adapter_forward
+from .prompts import PromptPool
 from .seeds import seeded_rng, trunc_normal
 from .tensor import (
     Tensor,
@@ -40,6 +42,9 @@ class ModelConfig:
     seed: int = 0  # not a file key: build_run_config passes the run's seed
 
     def __post_init__(self):
+        for name in ("heads", "image_side", "patch_side"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ModelConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.image_side % self.patch_side != 0:
@@ -66,9 +71,6 @@ class ModelConfig:
     @property
     def n_patches(self) -> int:
         return self.grid_side * self.grid_side
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -154,28 +156,21 @@ class EncoderParams:
 
 
 def patchify(images, params: EncoderParams) -> Tensor:
-    """Cut images into non-overlapping patches and embed them.
+    """Cut a batch of (B, H, W) images into non-overlapping patches and embed them.
 
-    Accepts one (H, W) grid or a batch (B, H, W); returns (N, d) or
-    (B, N, d) token embeddings with positional offsets already added.
+    Returns (B, N, d) token embeddings with positional offsets already added.
     """
     cfg = params.config
     arr = np.asarray(images, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
     if arr.ndim != 3 or arr.shape[1] != cfg.image_side or arr.shape[2] != cfg.image_side:
         raise ValueError(
-            f"patchify: expected images of side {cfg.image_side}, got array shape {np.asarray(images).shape}"
+            f"patchify: expected a batch of images of side {cfg.image_side}, got array shape {arr.shape}"
         )
     b = arr.shape[0]
     g, p = cfg.grid_side, cfg.patch_side
     # (B, g, p, g, p) -> (B, g, g, p, p) -> (B, N, p*p), patches in row-major grid order
     patches = arr.reshape(b, g, p, g, p).transpose(0, 1, 3, 2, 4).reshape(b, cfg.n_patches, p * p)
-    tokens = linear(Tensor(patches), params.patch_w, params.patch_b) + params.pos
-    if single:
-        return tokens.reshape((cfg.n_patches, cfg.embed_dim))
-    return tokens
+    return linear(Tensor(patches), params.patch_w, params.patch_b) + params.pos
 
 
 def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor) -> Tensor:
@@ -191,7 +186,7 @@ def _mlp(x: Tensor, block: BlockParams, residual: Tensor) -> Tensor:
     return linear(linear(x, block.w1, block.b1, relu=True), block.w2, block.b2, residual=residual)
 
 
-def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter=None) -> Tensor:
+def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
     post-attention residual and its output joins the main residual sum."""
     h = layer_norm_affine(x, block.ln1_g, block.ln1_b)
@@ -199,43 +194,32 @@ def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter=None) -> Tens
     y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o)
     if adapter is None:
         return y_o
-    from .adapters import adapter_forward
-
     return y_o + adapter_forward(x_o, adapter)
 
 
-def encoder_forward(images, prompt_pool, params: EncoderParams, adapters=None):
-    """Run the full encoder and split the output sequence.
+def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None):
+    """Run the full encoder on a (B, H, W) batch and split the output sequence.
 
-    Returns ``(o_P, o_I)``: the n prompt output rows (empty when no
-    prompts are registered) and the N patch output rows, both after the
-    final layer norm.
+    Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
+    prompts are registered) and the (B, N, d) patch output rows, both after
+    the final layer norm.
     """
     cfg = params.config
     x = patchify(images, params)
-    batched = x.ndim == 3
-
-    stack = None
-    if prompt_pool is not None:
-        stack = prompt_pool if isinstance(prompt_pool, Tensor) else prompt_pool.stacked()
+    stack = None if prompt_pool is None else prompt_pool.stacked()
     n = 0 if stack is None else stack.shape[0]
-    if stack is not None and stack.shape[-1] != cfg.embed_dim:
+    if n and stack.shape[-1] != cfg.embed_dim:
         raise ValueError(
             f"encoder_forward: prompt dim {stack.shape[-1]} does not match embed_dim {cfg.embed_dim}"
         )
-
-    def adapter_for(layer: int):
-        if adapters is None:
-            return None
-        return adapters.layers.get(layer)
+    adapter_layers = {} if adapters is None else adapters.layers
 
     for layer in range(1, cfg.prompt_layer + 1):
-        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_for(layer))
+        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
     if n:
-        front = expand_leading(stack, x.shape[0]) if batched else stack
-        x = concat([front, x], axis=-2)
+        x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
-        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_for(layer))
+        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
 
     o_P = narrow(x, -2, 0, n)

@@ -1,11 +1,12 @@
-"""Damaged input files: the CLI answers with one ``error:`` line, never a traceback.
+"""Damaged or malformed input files: the CLI answers with one ``error:`` line, never a traceback.
 
 A checkpoint is cut at any offset or has one bit flipped, either anywhere
 or inside its zip headers, where most flips are not caught by a content
 checksum. The same is done to one ``.sample`` file of a dataset. Each case
 must either fail with exit code 1 and a single ``error:`` line on stderr,
 or succeed with exactly the output of the intact file (a flipped zip
-timestamp, say, changes no content).
+timestamp, say, changes no content). Configs with degenerate sizes and
+JSON files that are not reports must fail the same way.
 """
 
 import contextlib
@@ -144,7 +145,8 @@ def test_damaged_sample_file_gives_one_error_line(dataset, data):
     (lambda meta: {k: v for k, v in meta.items() if k != "bank"}, "KeyError"),
     (lambda meta: {**meta, "config": {**meta["config"], "depth": 3}}, "TypeError"),
     (lambda meta: sorted(meta), "AttributeError"),
-], ids=["missing-field", "unknown-config-field", "not-an-object"])
+    (lambda meta: {**meta, "config": {**meta["config"], "heads": 0}}, "ModelConfig: heads must be >= 1"),
+], ids=["missing-field", "unknown-config-field", "not-an-object", "rejected-config"])
 def test_malformed_checkpoint_metadata_names_the_file(checkpoint, tmp_path, edit, needle):
     src = checkpoint[0]
     with np.load(src) as bundle:
@@ -157,3 +159,51 @@ def test_malformed_checkpoint_metadata_names_the_file(checkpoint, tmp_path, edit
     assert rc == 1 and out == ""
     assert err.startswith(f"error: load_checkpoint: {path} has malformed metadata ({needle}")
     assert len(err.splitlines()) == 1
+
+
+def assert_one_error_line(rc, out, err, needle):
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err, err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "run"])
+@pytest.mark.parametrize("line", [
+    "heads = 0", "patch_side = 0", "patch_side = -4", "image_side = 0", "pretrain_epochs = 0", "pretrain_epochs = -2",
+])
+def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
+    data = dataset[0].parents[1]  # <data>/train/0003.sample
+    conf = tmp_path / "bad.conf"
+    conf.write_text(
+        RUN_CONF.format(dataset=data, out_dir=tmp_path / "runs") + f"pretrain_dataset = {data}\n{line}\n"
+    )
+    key, _, value = line.partition(" = ")
+    assert_one_error_line(*run_cli([command, "--config", str(conf)]), f"{key} must be >= 1, got {value}")
+    assert not (tmp_path / "runs").exists()
+
+
+def real_report(dataset) -> dict:
+    return json.loads((dataset[0].parents[2] / "runs" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("key", [
+    "format", "method", "config", "dataset", "pretrained", "sessions", "accuracy_matrix", "last_map",
+    "avg_map", "final_cf1", "final_of1", "forgetting", "freeze_audit", "rules", "hashes",
+])
+@pytest.mark.parametrize("change", ["drop", "retype"])
+def test_report_with_a_bad_top_level_key_gives_one_error_line(dataset, tmp_path, key, change):
+    payload = real_report(dataset)
+    assert key in payload
+    if change == "drop":
+        del payload[key]
+    else:
+        payload[key] = [payload[key]] if not isinstance(payload[key], list) else {"": payload[key]}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert_one_error_line(*run_cli(["report", str(path)]), f"load_report: {path}")
+
+
+@pytest.mark.parametrize("payload", [{}, [1, 2], "report", None, {"format": "promptcl-report-2"}])
+def test_json_that_is_not_a_report_gives_one_error_line(tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert_one_error_line(*run_cli(["report", str(path)]), f"load_report: {path} is not a promptcl-report-1 file")

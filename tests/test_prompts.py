@@ -216,6 +216,9 @@ def test_load_semantic_embeddings_round_trip(tmp_path):
         ("0\t1.0,2.0\n1\t1.0\n", 2),
         ("x\t1.0\n", 1),
         ("0\t1.0,abc\n", 1),
+        ("0\t1.0,2.0\n1\tnan,1\n", 2),
+        ("0\tinf,1\n", 1),
+        ("0\t1.0,2.0\n# note\n1\t1e999,-inf\n", 3),
     ],
 )
 def test_load_semantic_embeddings_errors_cite_line(tmp_path, body, lineno):

@@ -63,40 +63,48 @@ def test_config_validation():
 
 def test_patchify_shapes_and_batch_consistency():
     params = EncoderParams(small_config())
-    one = np.arange(64, dtype=np.float64).reshape(8, 8) / 64.0
+    one = np.arange(64, dtype=np.float64).reshape(1, 8, 8) / 64.0
     single = patchify(one, params)
-    batch = patchify(np.stack([one, one * 0.5]), params)
-    assert single.shape == (4, 8)
+    batch = patchify(np.concatenate([one, one * 0.5]), params)
+    assert single.shape == (1, 4, 8)
     assert batch.shape == (2, 4, 8)
-    assert np.allclose(batch.data[0], single.data, atol=1e-15)
+    assert np.allclose(batch.data[0], single.data[0], atol=1e-15)
 
 
 def test_patchify_zero_image_gives_positions():
     # Zero pixels kill the projection term, leaving bias + positional table.
     params = EncoderParams(small_config())
-    out = patchify(np.zeros((8, 8)), params)
+    out = patchify(np.zeros((1, 8, 8)), params)
     expected = params.pos.data + params.patch_b.data
-    assert np.allclose(out.data, expected, atol=1e-15)
+    assert np.allclose(out.data[0], expected, atol=1e-15)
 
 
 def test_patchify_patch_order_is_row_major():
     params = EncoderParams(small_config())
-    img = np.zeros((8, 8))
-    img[0:4, 4:8] = 1.0  # second cell of the first grid row
-    out = patchify(img, params)
+    img = np.zeros((1, 8, 8))
+    img[0, 0:4, 4:8] = 1.0  # second cell of the first grid row
+    out = patchify(img, params).data[0]
     lit = Tensor(np.ones((1, 16))) @ params.patch_w
     expected_row1 = lit.data[0] + params.patch_b.data + params.pos.data[1]
-    assert np.allclose(out.data[1], expected_row1, atol=1e-12)
+    assert np.allclose(out[1], expected_row1, atol=1e-12)
     # remaining tokens match the zero-pixel embedding
     base = params.patch_b.data + params.pos.data
     for idx in (0, 2, 3):
-        assert np.allclose(out.data[idx], base[idx], atol=1e-15)
+        assert np.allclose(out[idx], base[idx], atol=1e-15)
 
 
 def test_patchify_rejects_wrong_side():
     params = EncoderParams(small_config())
     with pytest.raises(ValueError):
-        patchify(np.zeros((7, 8)), params)
+        patchify(np.zeros((1, 7, 8)), params)
+
+
+def test_encoder_takes_batches_only():
+    params = EncoderParams(small_config())
+    with pytest.raises(ValueError, match="batch"):
+        patchify(np.zeros((8, 8)), params)
+    with pytest.raises(ValueError, match="batch"):
+        encoder_forward(np.zeros((8, 8)), None, params)
 
 
 def test_block_hand_value_single_token():
@@ -139,10 +147,10 @@ def test_multi_head_matches_single_head_with_block_diagonal_values():
     # token equal one head when queries/keys only mix inside each half.
     cfg = small_config()
     params = EncoderParams(cfg)
-    imgs = np.linspace(-1, 1, 64).reshape(8, 8)
+    imgs = np.linspace(-1, 1, 64).reshape(1, 8, 8)
     o_P, o_I = encoder_forward(imgs, None, params)
-    assert o_P.shape == (0, 8)
-    assert o_I.shape == (4, 8)
+    assert o_P.shape == (1, 0, 8)
+    assert o_I.shape == (1, 4, 8)
 
 
 def test_encoder_batch_matches_loop():
@@ -155,9 +163,9 @@ def test_encoder_batch_matches_loop():
     imgs = rng.normal(size=(3, 8, 8))
     o_P_b, o_I_b = encoder_forward(imgs, pool, params)
     for i in range(3):
-        o_P, o_I = encoder_forward(imgs[i], pool, params)
-        assert np.allclose(o_P_b.data[i], o_P.data, atol=1e-12)
-        assert np.allclose(o_I_b.data[i], o_I.data, atol=1e-12)
+        o_P, o_I = encoder_forward(imgs[i:i + 1], pool, params)
+        assert np.allclose(o_P_b.data[i], o_P.data[0], atol=1e-12)
+        assert np.allclose(o_I_b.data[i], o_I.data[0], atol=1e-12)
 
 
 def test_prompts_skip_early_layers():
@@ -166,7 +174,7 @@ def test_prompts_skip_early_layers():
     cfg = small_config(layers=3, prompt_layer=2)
     params = EncoderParams(cfg)
     rng = np.random.default_rng(5)
-    imgs = rng.normal(size=(8, 8))
+    imgs = rng.normal(size=(1, 8, 8))
 
     x_plain = patchify(imgs, params)
     for layer in range(1, cfg.prompt_layer + 1):
@@ -176,21 +184,23 @@ def test_prompts_skip_early_layers():
     bank = ClassifierBank(cfg.embed_dim, seed=9)
     add_class_prompts(pool, bank, [4, 7], stage=1)
     o_P, o_I = encoder_forward(imgs, pool, params)
-    assert o_P.shape == (2, cfg.embed_dim)
+    assert o_P.shape == (1, 2, cfg.embed_dim)
     # and the deep run with an empty pool reuses exactly that prefix
     o_P0, o_I0 = encoder_forward(imgs, None, params)
     x_check = x_plain
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
         x_check = sab_forward(x_check, params.blocks[layer - 1], cfg.heads)
     x_check = x_check.layer_norm() * params.final_ln_g + params.final_ln_b
-    assert np.allclose(o_I0.data, x_check.data, atol=1e-12)
+    assert np.allclose(o_I0.data[0], x_check.data[0], atol=1e-12)
 
 
 def test_prompt_dim_mismatch_rejected():
     cfg = small_config()
     params = EncoderParams(cfg)
-    with pytest.raises(ValueError):
-        encoder_forward(np.zeros((8, 8)), Tensor(np.zeros((2, 5))), params)
+    pool = PromptPool(5)
+    add_class_prompts(pool, ClassifierBank(5), [0, 1], stage=1)
+    with pytest.raises(ValueError, match="prompt dim 5"):
+        encoder_forward(np.zeros((1, 8, 8)), pool, params)
 
 
 def test_zero_init_adapters_do_not_change_outputs():
@@ -217,13 +227,13 @@ def test_prompt_rows_permute_with_pool_order():
     bank = ClassifierBank(cfg.embed_dim, seed=4)
     add_class_prompts(pool, bank, [0, 1, 2, 3], stage=1)
     rng = np.random.default_rng(21)
-    imgs = rng.normal(size=(8, 8))
+    imgs = rng.normal(size=(1, 8, 8))
     o_P, o_I = encoder_forward(imgs, pool, params)
     perm = [2, 0, 3, 1]
     shuffled = pool.reordered(perm)
     o_P_s, o_I_s = encoder_forward(imgs, shuffled, params)
-    assert np.max(np.abs(o_P_s.data - o_P.data[perm])) <= 1e-10
-    assert np.max(np.abs(o_I_s.data - o_I.data)) <= 1e-10
+    assert np.max(np.abs(o_P_s.data[0] - o_P.data[0][perm])) <= 1e-10
+    assert np.max(np.abs(o_I_s.data[0] - o_I.data[0])) <= 1e-10
 
 
 def test_encoder_gradients_match_finite_differences():
@@ -233,8 +243,8 @@ def test_encoder_gradients_match_finite_differences():
     bank = ClassifierBank(cfg.embed_dim, seed=6)
     add_class_prompts(pool, bank, [0], stage=1)
     rng = np.random.default_rng(8)
-    imgs = rng.normal(size=(8, 8))
-    weights = rng.normal(size=(1, cfg.embed_dim))
+    imgs = rng.normal(size=(1, 8, 8))
+    weights = rng.normal(size=(1, 1, cfg.embed_dim))
 
     def scalar():
         o_P, _ = encoder_forward(imgs, pool, params)
@@ -277,3 +287,20 @@ def test_forward_and_loss_tape_budget(stage_mask, budget):
     images = np.random.default_rng(0).random((8, 16, 16))
     asl_loss(forward_logits(state, images), np.zeros((8, 4)), RunConfig().asl)
     assert len(active_tape()) <= budget
+
+
+def test_tape_length_does_not_grow_with_prompt_count():
+    # The pool stacks its prompts with one concat and one reshape, however
+    # many there are; one reshape per prompt gave 12 prompts 8 more entries.
+    from promptcl import RunConfig, asl_loss, build_model, forward_logits
+    from promptcl.tensor import active_tape
+
+    def entries(n_classes: int) -> int:
+        reset_tape()
+        state = build_model(ModelConfig())
+        add_class_prompts(state.pool, state.bank, list(range(n_classes)), stage=1)
+        images = np.random.default_rng(0).random((8, 16, 16))
+        asl_loss(forward_logits(state, images), np.zeros((8, n_classes)), RunConfig().asl)
+        return len(active_tape())
+
+    assert entries(4) == entries(12)
