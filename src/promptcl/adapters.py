@@ -22,7 +22,6 @@ class AdapterLayer:
     down_b: Tensor
     up_w: Tensor
     up_b: Tensor
-    frozen: bool = False
 
 
 class AdapterStack:
@@ -35,14 +34,10 @@ class AdapterStack:
         return len(self.layers)
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in sorted(self.layers):
-            a = self.layers[layer]
-            out[f"adapter.l{layer:02d}.down_w"] = a.down_w
-            out[f"adapter.l{layer:02d}.down_b"] = a.down_b
-            out[f"adapter.l{layer:02d}.up_w"] = a.up_w
-            out[f"adapter.l{layer:02d}.up_b"] = a.up_b
-        return out
+        return {
+            f"adapter.l{layer:02d}.{name}": getattr(a, name)
+            for layer, a in sorted(self.layers.items()) for name in a.__dataclass_fields__
+        }
 
 
 def attach_adapters(config) -> AdapterStack:
@@ -74,25 +69,18 @@ def compute_trainable_mask(
 ) -> dict[str, bool]:
     """Boolean trainability per parameter name for one training stage.
 
-    Backbone weights follow the encoder's ``frozen`` flag (only flipped by
-    pretraining and the fine-tuning baseline). Adapters train in stage 1
-    alone unless ``ca_unfrozen`` re-opens them. Prompts and heads follow
-    their per-entry frozen flags, which the freezing step maintains.
+    Backbone weights follow the encoder's ``frozen`` flag (cleared only by
+    the fine-tuning baseline). Adapters train in stage 1 alone unless
+    ``ca_unfrozen`` re-opens them. Prompts and heads follow their
+    per-entry frozen flags, which the freezing step maintains.
     """
     if stage < 1:
         raise ValueError(f"compute_trainable_mask: stage must be >= 1, got {stage}")
-    mask: dict[str, bool] = {}
-    for name in backbone.named():
-        mask[name] = not backbone.frozen
+    mask = dict.fromkeys(backbone.named(), not backbone.frozen)
     if adapters is not None:
-        adapters_on = stage == 1 or ca_unfrozen
-        for name in adapters.named():
-            mask[name] = adapters_on
-    for e in pool.entries:
-        mask[f"prompt.{e.class_id:04d}"] = not e.frozen
-    for e in bank.entries:
-        mask[f"head.{e.class_id:04d}.w"] = not e.frozen
-        mask[f"head.{e.class_id:04d}.b"] = not e.frozen
+        mask.update(dict.fromkeys(adapters.named(), stage == 1 or ca_unfrozen))
+    for container in (pool, bank):
+        mask.update((name, not e.frozen) for name, _, e in container.named_entries())
     return mask
 
 

@@ -5,9 +5,9 @@ canonical name plus a JSON metadata blob (model config, class registry,
 frozen flags). Arrays are stored losslessly, so save -> load -> save
 reproduces identical parameter bytes; tests hold the package to that.
 
-The ``adapters_frozen`` map is always all-false: adapters train in stage
-1 alone because ``compute_trainable_mask`` says so, not through their
-``frozen`` flag, which nothing sets. The map stays because the
+The ``adapters_frozen`` map is written all-false and never read:
+adapters train in stage 1 alone because ``compute_trainable_mask`` says
+so, and they carry no flag of their own. The map stays because the
 ``promptcl-checkpoint-1`` format carries it.
 """
 
@@ -24,7 +24,7 @@ from numpy.lib import format as npy_format
 
 from .adapters import attach_adapters
 from .model import ModelState, named_params
-from .prompts import ClassifierBank, HeadEntry, PromptEntry, PromptPool
+from .prompts import ClassifierBank, PromptPool
 from .tensor import Tensor
 from .vit import EncoderParams, ModelConfig
 
@@ -48,11 +48,7 @@ def save_checkpoint(path, state: ModelState) -> None:
         "config": asdict(state.config),
         "backbone_frozen": state.backbone.frozen,
         "has_adapters": state.adapters is not None,
-        "adapters_frozen": (
-            {str(k): v.frozen for k, v in state.adapters.layers.items()}
-            if state.adapters is not None
-            else {}
-        ),
+        "adapters_frozen": dict.fromkeys(map(str, state.adapters.layers if state.adapters else ()), False),
         "pool": _records(state.pool),
         "bank": _records(state.bank),
     }
@@ -112,30 +108,16 @@ def _restore(path, meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
         raise ValueError(f"load_checkpoint: {path} has malformed metadata ({err})") from None
     backbone = EncoderParams(config)
     backbone.frozen = bool(meta["backbone_frozen"])
-
-    adapters = None
-    if meta["has_adapters"]:
-        adapters = attach_adapters(config)
-        for key, frozen in meta["adapters_frozen"].items():
-            adapters.layers[int(key)].frozen = bool(frozen)
-
-    def fetch(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ValueError(f"load_checkpoint: metadata promises array {name} but it is missing")
-        return arrays[name]
-
-    def restore(container, records, entry_cls, *names):
-        """Append one entry per record; ``names`` format the class id into array names."""
+    adapters = attach_adapters(config) if meta["has_adapters"] else None
+    # Every array starts at the shape the config implies; the loop below
+    # checks each stored array against it and copies it in.
+    pool = PromptPool(config.embed_dim, config.seed)
+    bank = ClassifierBank(config.embed_dim, config.seed)
+    for container, records in ((pool, meta["pool"]), (bank, meta["bank"])):
         for rec in records:
-            cid = int(rec["class_id"])
-            tensors = [Tensor(fetch(name.format(cid)), requires_grad=True) for name in names]
-            container.entries.append(entry_cls(cid, *tensors, bool(rec["frozen"]), int(rec["stage_added"])))
-        return container
-
-    pool = restore(PromptPool(config.embed_dim, config.seed), meta["pool"], PromptEntry, "prompt.{:04d}")
-    bank = restore(
-        ClassifierBank(config.embed_dim, config.seed), meta["bank"], HeadEntry, "head.{:04d}.w", "head.{:04d}.b"
-    )
+            container.add(int(rec["class_id"]), int(rec["stage_added"]), frozen=bool(rec["frozen"]))
+        if len(set(container.class_ids)) != len(container):
+            raise ValueError(f"load_checkpoint: {path} has malformed metadata (a class is listed twice)")
 
     state = ModelState(config, backbone, adapters, pool, bank)
     named = named_params(state)
@@ -143,14 +125,14 @@ def _restore(path, meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
     extra = set(arrays) - set(named)
     if missing or extra:
         raise ValueError(
-            f"load_checkpoint: parameter names disagree with metadata "
+            f"load_checkpoint: {path} parameter names disagree with metadata "
             f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
         )
     for name, arr in arrays.items():
         t = named[name]
         if t.data.shape != arr.shape:
             raise ValueError(
-                f"load_checkpoint: array {name} has shape {arr.shape}, expected {t.data.shape}"
+                f"load_checkpoint: {path} array {name} has shape {arr.shape}, expected {t.data.shape}"
             )
         t.data = arr.astype(np.float64, copy=True)
     return state

@@ -54,10 +54,8 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
 
 
 def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 64) -> np.ndarray:
-    """Sigmoid probabilities, evaluated without recording to the tape."""
+    """Sigmoid probabilities for a (B, H, W) batch, evaluated without recording to the tape."""
     arr = np.asarray(images, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]
     chunks = []
     with no_grad():
         for start in range(0, arr.shape[0], batch_size):

@@ -45,7 +45,13 @@ class SemanticInit:
 
 
 class _ClassEntries:
-    """Ordered per-class entries sharing a width and an init seed."""
+    """Ordered per-class entries sharing a width and an init seed.
+
+    ``array_fields`` maps each array-name pattern to the entry field that
+    holds the array: the one place prompt and head names are spelled.
+    """
+
+    array_fields: dict[str, str]
 
     def __init__(self, dim: int, seed: int = 0):
         self.dim = int(dim)
@@ -58,6 +64,15 @@ class _ClassEntries:
     @property
     def class_ids(self) -> list[int]:
         return [e.class_id for e in self.entries]
+
+    def named_entries(self):
+        """``(name, tensor, entry)`` for every array, in entry order."""
+        for e in self.entries:
+            for pattern, attr in self.array_fields.items():
+                yield pattern.format(e.class_id), getattr(e, attr), e
+
+    def named(self) -> dict[str, Tensor]:
+        return {name: t for name, t, _ in self.named_entries()}
 
     def entry(self, class_id: int):
         for e in self.entries:
@@ -77,25 +92,29 @@ class _ClassEntries:
 class PromptPool(_ClassEntries):
     """Ordered collection of per-class prompt tokens."""
 
+    array_fields = {"prompt.{:04d}": "vector"}
+
+    def add(self, class_id: int, stage: int, vector=None, frozen: bool = False) -> None:
+        """Append a prompt; without ``vector`` it holds zeros of the pool's width."""
+        vector = Tensor(np.zeros(self.dim) if vector is None else vector, requires_grad=True)
+        self.entries.append(PromptEntry(class_id, vector, frozen, stage))
+
     def stacked(self) -> Tensor | None:
         """All prompt vectors as one (n, dim) tensor, in pool order: two tape entries for any n."""
         if not self.entries:
             return None
         return reshape(concat([e.vector for e in self.entries], axis=0), (len(self.entries), self.dim))
 
-    def named(self) -> dict[str, Tensor]:
-        return {f"prompt.{e.class_id:04d}": e.vector for e in self.entries}
-
 
 class ClassifierBank(_ClassEntries):
     """Per-class linear readouts, kept in the same order as the pool."""
 
-    def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for e in self.entries:
-            out[f"head.{e.class_id:04d}.w"] = e.weight
-            out[f"head.{e.class_id:04d}.b"] = e.bias
-        return out
+    array_fields = {"head.{:04d}.w": "weight", "head.{:04d}.b": "bias"}
+
+    def add(self, class_id: int, stage: int, weight=None, frozen: bool = False) -> None:
+        """Append a head with a zero bias; without ``weight`` it holds zeros of the bank's width."""
+        weight = Tensor(np.zeros(self.dim) if weight is None else weight, requires_grad=True)
+        self.entries.append(HeadEntry(class_id, weight, Tensor(0.0, requires_grad=True), frozen, stage))
 
 
 def semantic_projection(text_dim: int, dim: int, seed: int) -> np.ndarray:
@@ -153,12 +172,8 @@ def add_class_prompts(
             vec = proj @ semantic.vectors[cid]
         else:
             vec = normal_init(seeded_rng(pool.seed, "prompt", cid), (pool.dim,), PROMPT_STD)
-        pool.entries.append(PromptEntry(cid, Tensor(vec, requires_grad=True), False, stage))
-        head_rng = seeded_rng(bank.seed, "head", cid)
-        w = normal_init(head_rng, (bank.dim,), PROMPT_STD)
-        bank.entries.append(
-            HeadEntry(cid, Tensor(w, requires_grad=True), Tensor(0.0, requires_grad=True), False, stage)
-        )
+        pool.add(cid, stage, vector=vec)
+        bank.add(cid, stage, weight=normal_init(seeded_rng(bank.seed, "head", cid), (bank.dim,), PROMPT_STD))
 
 
 def freeze_previous(

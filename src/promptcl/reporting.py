@@ -72,14 +72,21 @@ def write_report(report: Report, out_dir) -> dict[str, str]:
 
 
 def load_report(path) -> dict:
-    """Read a report.json; raises ValueError naming ``path`` unless it holds a report."""
+    """Read a report.json; raises ValueError naming ``path`` unless it holds a report that renders."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # bad JSON or bad UTF-8
+            raise ValueError(f"load_report: {path} is not JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ValueError(f"load_report: {path} is not a {REPORT_FORMAT} file")
     for key, kind in REPORT_FIELDS.items():
         if not isinstance(payload.get(key), kind):
             raise ValueError(f"load_report: {path}: {key!r} is missing or not a {kind.__name__}")
+    try:
+        render_report(payload)  # reads every nested value the table shows
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise ValueError(f"load_report: {path}: malformed report ({type(err).__name__}: {err})") from None
     return payload
 
 

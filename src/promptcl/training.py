@@ -149,15 +149,12 @@ def simulate_pretraining(state: ModelState, pretrain: Dataset, cfg: RunConfig) -
     )
     class_ids = list(range(pretrain.n_classes))
     add_class_prompts(donor.pool, donor.bank, class_ids, stage=1)
-    state.backbone.frozen = False
-    mask = {name: True for name in named_params(donor)}
-    try:
-        return _fit(
-            donor, pretrain.train_images, pretrain.train_labels.astype(np.float64), class_ids,
-            mask, cfg.pretrain_epochs, cfg, (cfg.seed, "pretrain-batches"), "pretraining",
-        )
-    finally:
-        state.backbone.frozen = True
+    state.backbone.frozen = True  # the all-true mask below trains it regardless
+    return _fit(
+        donor, pretrain.train_images, pretrain.train_labels.astype(np.float64), class_ids,
+        dict.fromkeys(named_params(donor), True), cfg.pretrain_epochs, cfg,
+        (cfg.seed, "pretrain-batches"), "pretraining",
+    )
 
 
 def evaluate_session(state: ModelState, dataset: Dataset, stream: TaskStream, upto_stage: int,

@@ -100,8 +100,8 @@ class EncoderParams:
     """Every backbone weight: patch projection, positions, blocks, final norm.
 
     Created with ``frozen=True``; nothing in the incremental protocol is
-    allowed to update these. Only the one-off pretraining pass and the
-    fine-tuning baseline flip the flag.
+    allowed to update these. Only the fine-tuning baseline clears the flag;
+    the one-off pretraining pass trains them through its own mask.
     """
 
     def __init__(self, config: ModelConfig):

@@ -5,8 +5,9 @@ or inside its zip headers, where most flips are not caught by a content
 checksum. The same is done to one ``.sample`` file of a dataset. Each case
 must either fail with exit code 1 and a single ``error:`` line on stderr,
 or succeed with exactly the output of the intact file (a flipped zip
-timestamp, say, changes no content). Configs with degenerate sizes and
-JSON files that are not reports must fail the same way.
+timestamp, say, changes no content). Checkpoint arrays that disagree with
+the metadata, configs with degenerate sizes, and JSON files that are not
+reports (or whose nested values are broken) must fail the same way.
 """
 
 import contextlib
@@ -146,24 +147,43 @@ def test_damaged_sample_file_gives_one_error_line(dataset, data):
     (lambda meta: {**meta, "config": {**meta["config"], "depth": 3}}, "TypeError"),
     (lambda meta: sorted(meta), "AttributeError"),
     (lambda meta: {**meta, "config": {**meta["config"], "heads": 0}}, "ModelConfig: heads must be >= 1"),
-], ids=["missing-field", "unknown-config-field", "not-an-object", "rejected-config"])
+    (lambda meta: {**meta, "pool": meta["pool"] + meta["pool"][:1]}, "a class is listed twice"),
+], ids=["missing-field", "unknown-config-field", "not-an-object", "rejected-config", "duplicate-class"])
 def test_malformed_checkpoint_metadata_names_the_file(checkpoint, tmp_path, edit, needle):
-    src = checkpoint[0]
-    with np.load(src) as bundle:
-        blobs = {k: bundle[k] for k in bundle.files}
-    meta = edit(json.loads(blobs["__meta__"].tobytes().decode("utf-8")))
-    blobs["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    path = tmp_path / "edited.npz"
-    _write_npz(path, blobs)
+    def edit_meta(blobs):
+        meta = edit(json.loads(blobs["__meta__"].tobytes().decode("utf-8")))
+        return {**blobs, "__meta__": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+
+    path = edited_checkpoint(checkpoint[0], tmp_path, edit_meta)
     rc, out, err = run_cli(["dump-prompts", "--checkpoint", str(path)])
     assert rc == 1 and out == ""
     assert err.startswith(f"error: load_checkpoint: {path} has malformed metadata ({needle}")
     assert len(err.splitlines()) == 1
 
 
+def edited_checkpoint(src, tmp_path, edit):
+    """Copy of the checkpoint at ``src`` with ``edit`` applied to its name -> array map."""
+    with np.load(src) as bundle:
+        blobs = edit({k: bundle[k] for k in bundle.files})
+    path = tmp_path / "edited.npz"
+    _write_npz(path, blobs)
+    return path
+
+
 def assert_one_error_line(rc, out, err, needle):
     assert rc == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err, err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blobs: {**blobs, "prompt.0001": np.zeros(5)},
+    lambda blobs: {**blobs, "head.0000.b": np.zeros((3, 3))},
+    lambda blobs: {k: v for k, v in blobs.items() if k != "head.0002.w"},
+    lambda blobs: {**blobs, "prompt.0007": np.zeros(TINY.embed_dim)},
+], ids=["short-prompt", "matrix-head-bias", "missing-array", "extra-array"])
+def test_checkpoint_arrays_that_disagree_with_metadata_name_the_file(checkpoint, tmp_path, edit):
+    path = edited_checkpoint(checkpoint[0], tmp_path, edit)
+    assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]), f"load_checkpoint: {path} ")
 
 
 @pytest.mark.parametrize("command", ["pretrain", "run"])
@@ -199,6 +219,29 @@ def test_report_with_a_bad_top_level_key_gives_one_error_line(dataset, tmp_path,
         payload[key] = [payload[key]] if not isinstance(payload[key], list) else {"": payload[key]}
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))
+    assert_one_error_line(*run_cli(["report", str(path)]), f"load_report: {path}")
+
+
+def edit_json(change):
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    edit_json(lambda p: p["sessions"][0].pop("map")),
+    edit_json(lambda p: p.update(sessions=[])),
+    edit_json(lambda p: p["sessions"].__setitem__(0, 3)),
+    edit_json(lambda p: p["sessions"][-1].update(per_task_map="0.5")),
+    edit_json(lambda p: p["dataset"].pop("spec_hash")),
+    lambda text: text[:len(text) // 2],
+], ids=["session-without-map", "no-sessions", "session-not-an-object", "per-task-map-a-string",
+        "dataset-without-hash", "truncated"])
+def test_report_with_bad_nested_values_gives_one_error_line(dataset, tmp_path, edit):
+    path = tmp_path / "report.json"
+    path.write_text(edit(json.dumps(real_report(dataset))))
     assert_one_error_line(*run_cli(["report", str(path)]), f"load_report: {path}")
 
 

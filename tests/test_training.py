@@ -26,7 +26,7 @@ from promptcl import (
     train_stage,
 )
 from promptcl.adapters import compute_trainable_mask
-from promptcl.model import named_params
+from promptcl.model import named_params, predict_probs
 from promptcl.prompts import add_class_prompts, freeze_previous
 from promptcl.tensor import active_tape
 from promptcl.training import _fit
@@ -237,6 +237,13 @@ def test_diverging_pretraining_names_itself_and_refreezes_backbone():
 # -- evaluation --------------------------------------------------------------
 
 
+def test_predict_probs_rejects_a_single_image():
+    state = build_model(ModelConfig(**MICRO_MODEL))
+    add_class_prompts(state.pool, state.bank, [0], stage=1)
+    with pytest.raises(ValueError, match="patchify: expected a batch of images"):
+        predict_probs(state, np.zeros((8, 8)))
+
+
 def test_evaluate_session_shape_and_order_guard():
     ds = micro_dataset()
     cfg = micro_config()
@@ -291,6 +298,26 @@ def test_checkpoint_preserves_predictions(tmp_path):
     save_checkpoint(tmp_path / "m.npz", state)
     back = load_checkpoint(tmp_path / "m.npz")
     assert np.array_equal(forward_logits(back, ds.test_images[:4]).data, logits)
+
+
+@pytest.mark.parametrize("use_adapters", [True, False], ids=["adapters", "no-adapters"])
+@pytest.mark.parametrize("case", ["stage-1", "frozen-stage-2", "unfrozen-backbone", "reloaded"])
+def test_mask_params_and_checkpoint_arrays_share_names(tmp_path, use_adapters, case):
+    state = build_model(ModelConfig(**MICRO_MODEL), use_adapters=use_adapters)
+    add_class_prompts(state.pool, state.bank, [0, 1], stage=1)
+    stage = 1 if case == "stage-1" else 2
+    if stage == 2:
+        add_class_prompts(state.pool, state.bank, [2, 3], stage=2)
+        freeze_previous(state.pool, state.bank, 2)
+    state.backbone.frozen = case != "unfrozen-backbone"
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, state)
+    if case == "reloaded":
+        state = load_checkpoint(path)
+    mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
+    with np.load(path) as bundle:
+        stored = set(bundle.files) - {"__meta__"}
+    assert set(mask) == set(named_params(state)) == stored
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
