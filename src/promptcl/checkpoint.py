@@ -134,6 +134,8 @@ def _restore(path, meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
             raise ValueError(
                 f"load_checkpoint: {path} array {name} has shape {arr.shape}, expected {t.data.shape}"
             )
+        if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+            raise ValueError(f"load_checkpoint: {path} array {name} is not all finite numbers ({arr.dtype})")
         t.data = arr.astype(np.float64, copy=True)
     return state
 

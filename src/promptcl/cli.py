@@ -11,9 +11,11 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import build_run_config, parse_config_file, print_config
+from .config import CONVERTERS, build_run_config, parse_config_file, print_config
 from .datagen import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
 from .model import build_model
 from .protocol import METHODS
@@ -33,27 +35,13 @@ def _resolve_out_dir(flag_value, config_value=None):
 
 
 def _cmd_gen_data(args) -> int:
-    shift = None
-    if args.shift_contrast != 1.0 or args.shift_offset != 0.0 or args.shift_cells is not None:
-        shift = ShiftParams(
-            contrast=args.shift_contrast,
-            offset=args.shift_offset,
-            cell_perm_seed=args.shift_cells,
-            cell_side=args.cell_side,
-        )
-    spec = SyntheticSpec(
-        n_classes=args.classes,
-        image_side=args.image_side,
-        stamp_side=args.stamp_side,
-        n_train=args.train,
-        n_test=args.test,
-        min_labels=args.min_labels,
-        max_labels=args.max_labels,
-        min_positive=args.min_positive,
-        noise_sigma=args.noise_sigma,
-        stamp_seed=args.stamp_seed,
-        shift=shift,
-    )
+    def read(cls, **given):
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}, **given)
+
+    # shift only when a pixel transform is asked for: --cell-side alone changes nothing
+    plain = ShiftParams()
+    shifted = any(getattr(args, k) != getattr(plain, k) for k in ("contrast", "offset", "cell_perm_seed"))
+    spec = read(SyntheticSpec, shift=read(ShiftParams) if shifted else None)
     out = _resolve_out_dir(args.out)
     ds = generate_dataset(spec, args.seed, out_dir=out)
     print(f"wrote {ds.train_images.shape[0]} train / {ds.test_images.shape[0]} test samples "
@@ -143,22 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=12)
-    g.add_argument("--image-side", type=int, default=16)
-    g.add_argument("--stamp-side", type=int, default=4)
-    g.add_argument("--train", type=int, default=600)
-    g.add_argument("--test", type=int, default=300)
-    g.add_argument("--min-labels", type=int, default=1)
-    g.add_argument("--max-labels", type=int, default=3)
-    g.add_argument("--min-positive", type=int, default=20)
-    g.add_argument("--noise-sigma", type=float, default=0.05)
-    g.add_argument("--stamp-seed", type=int, default=7)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--shift-contrast", type=float, default=1.0)
-    g.add_argument("--shift-offset", type=float, default=0.0)
-    g.add_argument("--shift-cells", type=int, default=None,
-                   help="seed for a fixed cell permutation (omit to disable)")
-    g.add_argument("--cell-side", type=int, default=4)
+    for cls in (SyntheticSpec, ShiftParams):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            flag = f.metadata.get("flag", f.name.replace("_", "-"))
+            if convert := CONVERTERS.get(hints[f.name]):  # the nested shift is spelled by ShiftParams' flags
+                g.add_argument(f"--{flag}", dest=f.name, metavar=flag.replace("-", "_").upper(),
+                               type=convert, default=f.default, help=f.metadata.get("help"))
     g.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="train and freeze a backbone once")

@@ -37,8 +37,8 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# field type -> parser of its file value
-CONVERTERS = {int: int, float: float, str: str, bool: _bool}
+# field type -> parser of its file value or flag; an optional int parses as an int
+CONVERTERS = {int: int, float: float, str: str, bool: _bool, int | None: int}
 
 
 def _key(f) -> str:

@@ -21,12 +21,24 @@ declared shape matches what the directory claims to be.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from .seeds import seeded_rng
+
+
+def _check_fields(spec, sizes) -> None:
+    """Reject a non-finite float field of ``spec`` and a field in ``sizes`` below 1."""
+    for name, hint in get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if hint is float and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}: {name} must be finite, got {value}")
+        if name in sizes and value < 1:
+            raise ValueError(f"{type(spec).__name__}: {name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -38,23 +50,25 @@ class ShiftParams:
     additionally rearranged by a fixed seeded permutation.
     """
 
-    contrast: float = 1.0
-    offset: float = 0.0
-    cell_perm_seed: int | None = None
+    contrast: float = field(default=1.0, metadata={"flag": "shift-contrast"})
+    offset: float = field(default=0.0, metadata={"flag": "shift-offset"})
+    cell_perm_seed: int | None = field(default=None, metadata={
+        "flag": "shift-cells", "help": "seed for a fixed cell permutation (omit to disable)"})
     cell_side: int = 4
 
     def __post_init__(self):
+        _check_fields(self, ("cell_side",))
         if self.contrast == 0.0:
             raise ValueError("ShiftParams: contrast of zero is not invertible")
 
 
 @dataclass
 class SyntheticSpec:
-    n_classes: int = 12
+    n_classes: int = field(default=12, metadata={"flag": "classes"})
     image_side: int = 16
     stamp_side: int = 4
-    n_train: int = 600
-    n_test: int = 300
+    n_train: int = field(default=600, metadata={"flag": "train"})
+    n_test: int = field(default=300, metadata={"flag": "test"})
     min_labels: int = 1
     max_labels: int = 3
     min_positive: int = 20
@@ -63,6 +77,7 @@ class SyntheticSpec:
     shift: ShiftParams | None = None
 
     def __post_init__(self):
+        _check_fields(self, ("image_side", "stamp_side", "n_train", "n_test"))
         if self.image_side % self.stamp_side != 0:
             raise ValueError(
                 f"SyntheticSpec: image_side {self.image_side} not divisible by stamp_side {self.stamp_side}"

@@ -138,19 +138,13 @@ def add_class_prompts(
     bank: ClassifierBank,
     class_ids,
     stage: int,
-    init_mode: str = "random",
     semantic: SemanticInit | None = None,
 ) -> None:
     """Register new classes: one trainable prompt and one head each.
 
-    ``init_mode`` is "random" (N(0, 0.02^2) draws) or "semantic" (prompt
-    vectors projected from ``semantic``; heads stay randomly drawn).
-    New entries are appended in ascending class-id order.
+    Prompts are N(0, 0.02^2) draws, or projected from ``semantic`` when it is
+    given (heads are always drawn). New entries are appended in ascending class-id order.
     """
-    if init_mode not in ("random", "semantic"):
-        raise ValueError(f"add_class_prompts: unknown init_mode {init_mode!r}")
-    if init_mode == "semantic" and semantic is None:
-        raise ValueError("add_class_prompts: semantic init requested without embeddings")
     new_ids = sorted(int(c) for c in class_ids)
     if len(set(new_ids)) != len(new_ids):
         raise ValueError(f"add_class_prompts: duplicate ids in {list(class_ids)}")
@@ -161,14 +155,14 @@ def add_class_prompts(
     if set(bank.class_ids) != existing:
         raise ValueError("add_class_prompts: pool and bank class sets diverged")
 
-    if init_mode == "semantic":
+    if semantic is not None:
         missing = [cid for cid in new_ids if cid not in semantic.vectors]
         if missing:
             raise ValueError(f"add_class_prompts: no embedding row for classes {missing}")
         proj = semantic_projection(semantic.dim, pool.dim, pool.seed)
 
     for cid in new_ids:
-        if init_mode == "semantic":
+        if semantic is not None:
             vec = proj @ semantic.vectors[cid]
         else:
             vec = normal_init(seeded_rng(pool.seed, "prompt", cid), (pool.dim,), PROMPT_STD)

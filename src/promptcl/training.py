@@ -205,18 +205,15 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     is load-bearing, not decorative.
     """
     t_start = time.perf_counter()
-    init_mode = "semantic" if cfg.method == "p2l_ca_plus" else "random"
     semantic = None
-    if init_mode == "semantic":
+    if cfg.method == "p2l_ca_plus":
         if not cfg.semantic_path:
             raise ValueError("run_benchmark: p2l_ca_plus needs a semantic embedding table")
         semantic = load_semantic_embeddings(cfg.semantic_path)
-
-    stream = build_task_stream(dataset, cfg.base_classes, cfg.inc_classes)
-    if init_mode == "semantic":
         missing = [c for c in range(dataset.n_classes) if c not in semantic.vectors]
         if missing:
             raise ValueError(f"run_benchmark: embedding table lacks classes {missing}")
+    stream = build_task_stream(dataset, cfg.base_classes, cfg.inc_classes)
 
     fine_tuning = cfg.method == "fine_tuning"
     state = build_model(cfg.model, use_adapters=cfg.use_adapters and not fine_tuning)
@@ -252,8 +249,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     try:
         for task in stream.tasks:
             stage = task.index
-            add_class_prompts(state.pool, state.bank, task.class_ids, stage,
-                              init_mode=init_mode, semantic=semantic)
+            add_class_prompts(state.pool, state.bank, task.class_ids, stage, semantic=semantic)
             if not fine_tuning:
                 freeze_previous(state.pool, state.bank, stage, freeze_prompts=not cfg.prompts_unfrozen)
             mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters,

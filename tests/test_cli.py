@@ -1,5 +1,6 @@
 """End-to-end command line behavior on a miniature benchmark."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptcl import load_dataset
-from promptcl.cli import main
+from promptcl import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
+from promptcl.cli import build_parser, main
 
 MICRO_CONF = """
 dataset     = {dataset}
@@ -79,6 +80,48 @@ def test_gen_data_shift_flags(tmp_path):
     a = load_dataset(str(plain))
     b = load_dataset(str(tmp_path / "shifted"))
     assert np.allclose(b.train_images, a.train_images * 1.5 + 0.2, atol=1e-12)
+
+
+def gen_data_parser():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["gen-data"]
+
+
+def test_gen_data_flags_keep_their_names_defaults_and_types():
+    g = gen_data_parser()
+    flags = {a.option_strings[0]: (a.default, a.type) for a in g._actions if a.dest != "help"}
+    assert flags == {
+        "--out": (None, None), "--seed": (0, int), "--classes": (12, int), "--image-side": (16, int),
+        "--stamp-side": (4, int), "--train": (600, int), "--test": (300, int), "--min-labels": (1, int),
+        "--max-labels": (3, int), "--min-positive": (20, int), "--noise-sigma": (0.05, float),
+        "--stamp-seed": (7, int), "--shift-contrast": (1.0, float), "--shift-offset": (0.0, float),
+        "--shift-cells": (None, int), "--cell-side": (4, int),
+    }
+    usage = g.format_help()
+    assert "--classes CLASSES" in usage and "--shift-cells SHIFT_CELLS" in usage
+    assert "seed for a fixed cell permutation (omit to disable)" in usage
+
+
+@pytest.mark.parametrize("flags, shift", [
+    (["--shift-contrast", "1.3", "--shift-offset", "-0.2", "--shift-cells", "2", "--cell-side", "6"],
+     ShiftParams(contrast=1.3, offset=-0.2, cell_perm_seed=2, cell_side=6)),
+    (["--cell-side", "6"], None),
+], ids=["every-flag", "cell-side-alone-is-no-shift"])
+def test_gen_data_writes_the_dataset_of_the_spec_its_flags_spell(tmp_path, flags, shift):
+    rc = main([
+        "gen-data", "--out", str(tmp_path / "cli"), "--classes", "5", "--image-side", "12",
+        "--stamp-side", "3", "--train", "50", "--test", "40", "--min-labels", "2", "--max-labels", "3",
+        "--min-positive", "4", "--noise-sigma", "0.1", "--stamp-seed", "9", "--seed", "4", *flags,
+    ])
+    assert rc == 0
+    spec = SyntheticSpec(n_classes=5, image_side=12, stamp_side=3, n_train=50, n_test=40, min_labels=2,
+                         max_labels=3, min_positive=4, noise_sigma=0.1, stamp_seed=9, shift=shift)
+    generate_dataset(spec, 4, out_dir=str(tmp_path / "direct"))
+    files = sorted(p.relative_to(tmp_path / "direct") for p in (tmp_path / "direct").rglob("*") if p.is_file())
+    assert len(files) == 1 + 50 + 40
+    for rel in files:
+        assert (tmp_path / "cli" / rel).read_bytes() == (tmp_path / "direct" / rel).read_bytes(), rel
 
 
 def test_run_produces_report_files(micro_run, capsys):

@@ -6,8 +6,10 @@ checksum. The same is done to one ``.sample`` file of a dataset. Each case
 must either fail with exit code 1 and a single ``error:`` line on stderr,
 or succeed with exactly the output of the intact file (a flipped zip
 timestamp, say, changes no content). Checkpoint arrays that disagree with
-the metadata, configs with degenerate sizes, and JSON files that are not
-reports (or whose nested values are broken) must fail the same way.
+the metadata or hold non-finite or non-numeric values, configs and
+``gen-data`` specs with degenerate sizes or non-finite values, and JSON
+files that are not reports (or whose nested values are broken) must fail
+the same way.
 """
 
 import contextlib
@@ -180,7 +182,9 @@ def assert_one_error_line(rc, out, err, needle):
     lambda blobs: {**blobs, "head.0000.b": np.zeros((3, 3))},
     lambda blobs: {k: v for k, v in blobs.items() if k != "head.0002.w"},
     lambda blobs: {**blobs, "prompt.0007": np.zeros(TINY.embed_dim)},
-], ids=["short-prompt", "matrix-head-bias", "missing-array", "extra-array"])
+    lambda blobs: {**blobs, "prompt.0001": np.full(TINY.embed_dim, np.nan)},
+    lambda blobs: {**blobs, "head.0000.w": np.full(TINY.embed_dim, "a")},
+], ids=["short-prompt", "matrix-head-bias", "missing-array", "extra-array", "nan-prompt", "string-head-weight"])
 def test_checkpoint_arrays_that_disagree_with_metadata_name_the_file(checkpoint, tmp_path, edit):
     path = edited_checkpoint(checkpoint[0], tmp_path, edit)
     assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]), f"load_checkpoint: {path} ")
@@ -199,6 +203,21 @@ def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
     key, _, value = line.partition(" = ")
     assert_one_error_line(*run_cli([command, "--config", str(conf)]), f"{key} must be >= 1, got {value}")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--stamp-side", "0"], "stamp_side"),
+    (["--train", "-5"], "n_train"),
+    (["--cell-side", "0", "--shift-cells", "3"], "cell_side"),
+    (["--noise-sigma", "nan"], "noise_sigma"),
+    (["--shift-contrast", "nan"], "contrast"),
+    (["--shift-offset", "inf"], "offset"),
+], ids=["zero-stamp-side", "negative-train", "zero-cell-side", "nan-noise-sigma", "nan-shift-contrast", "inf-shift-offset"])
+def test_degenerate_dataset_specs_give_one_error_line(tmp_path, flags, field):
+    out = tmp_path / "ds"
+    rc, stdout, err = run_cli(["gen-data", "--out", str(out), "--classes", "4", "--image-side", "8", *flags])
+    assert_one_error_line(rc, stdout, err, f" {field} must be ")
+    assert not out.exists()
 
 
 def real_report(dataset) -> dict:

@@ -181,7 +181,7 @@ def test_semantic_projection_identity_and_isometry():
 def test_semantic_init_uses_projected_vectors():
     pool, bank = fresh(dim=3)
     emb = SemanticInit(vectors={0: np.array([0.5, -1.0, 2.0])}, dim=3)
-    add_class_prompts(pool, bank, [0], stage=1, init_mode="semantic", semantic=emb)
+    add_class_prompts(pool, bank, [0], stage=1, semantic=emb)
     assert np.allclose(pool.entry(0).vector.data, [0.5, -1.0, 2.0], atol=1e-15)
 
 
@@ -189,11 +189,7 @@ def test_semantic_init_validates_missing_rows():
     pool, bank = fresh(dim=3)
     emb = SemanticInit(vectors={0: np.zeros(3)}, dim=3)
     with pytest.raises(ValueError):
-        add_class_prompts(pool, bank, [0, 1], stage=1, init_mode="semantic", semantic=emb)
-    with pytest.raises(ValueError):
-        add_class_prompts(pool, bank, [0], stage=1, init_mode="semantic", semantic=None)
-    with pytest.raises(ValueError):
-        add_class_prompts(pool, bank, [0], stage=1, init_mode="mystery")
+        add_class_prompts(pool, bank, [0, 1], stage=1, semantic=emb)
 
 
 def test_load_semantic_embeddings_round_trip(tmp_path):
