@@ -84,13 +84,17 @@ def load_checkpoint(path) -> ModelState:
     try:
         with np.load(path) as bundle:
             arrays = {k: bundle[k] for k in bundle.files}
-    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError) as err:
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError) as err:
         # zipfile raises NotImplementedError / RuntimeError for a damaged
-        # version, compression or encryption field.
+        # version, compression or encryption field; np.load a ValueError for
+        # an object array it may not unpickle.
         raise ValueError(f"load_checkpoint: {path} is not a readable container: {err}") from None
     if "__meta__" not in arrays:
         raise ValueError(f"load_checkpoint: {path} is not a checkpoint container (no metadata)")
-    meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    try:
+        meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError both are
+        raise ValueError(f"load_checkpoint: {path} has malformed metadata (not UTF-8 JSON: {err})") from None
     try:
         return _restore(path, meta, arrays)
     except (AttributeError, KeyError, TypeError) as err:

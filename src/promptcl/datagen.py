@@ -78,6 +78,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_fields(self, ("image_side", "stamp_side", "n_train", "n_test"))
+        if self.noise_sigma < 0:
+            raise ValueError(f"SyntheticSpec: noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.image_side % self.stamp_side != 0:
             raise ValueError(
                 f"SyntheticSpec: image_side {self.image_side} not divisible by stamp_side {self.stamp_side}"

@@ -49,7 +49,7 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
         )
     if not state.pool.entries:
         raise ValueError("forward_logits: no classes registered yet")
-    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters)
+    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, patch_rows=False)
     return classify(o_P, state.bank, class_ids)
 
 

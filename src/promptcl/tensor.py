@@ -5,10 +5,17 @@ Wengert tape, gradient accumulation into leaf ``.grad`` buffers, and
 broadcasting that is only allowed when one operand's shape is a trailing
 suffix of the other's (leading axes act as batch dimensions). Anything
 fancier is rejected with an error naming the op and both shapes.
+
+A training loop may run its steps inside ``step_workspace()``: the arrays
+one step records and the buffers its backward pass works in then come
+from memory the workspace keeps, and ``reset_tape()`` hands them back for
+the next step instead of freeing them.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -44,12 +51,176 @@ _TAPE = GradTape()
 _RECORDING = [True]
 
 
+class _Workspace:
+    """Float64 buffers that one training loop's steps reuse.
+
+    Buffers are cut, 64-byte aligned, from one arena that is reserved once
+    and whose pages are touched only as steps use them, so every step
+    finds last step's memory still mapped. A buffer handed back during the
+    step goes on a free list; a request takes the smallest free buffer that
+    holds it and is at most twice its size, else fresh arena. ``reset``
+    hands back everything at once. A step that outgrows the arena gets
+    plain arrays for the rest, and the next step a large enough arena.
+
+    The backward pass hands back each recorded op's arrays once its
+    pullback has run (no earlier op's pullback reads them), and each of its
+    own buffers once no stored adjoint lives in it, so it works mostly in
+    memory the forward pass has finished with.
+    """
+
+    RESERVE = 8 << 20  # elements (64 MB of address space, resident only where used)
+
+    def __init__(self) -> None:
+        self.arena = np.empty(self.RESERVE)
+        self.top = 0    # arena elements handed out this step
+        self.need = 0   # elements this step asked the arena for, whether it had room or not
+        self.free: dict[int, list[Array]] = {}  # size -> flat buffers handed back
+        self.sizes: list[int] = []        # sorted keys of free
+        self.lent: dict[int, tuple[Array, Array]] = {}  # id -> (buffer out, the flat buffer it views)
+        self.log: list[Array] = []        # buffers handed out this step, in order
+        self.ends: list[int] = []         # len(log) when each tape entry was recorded
+        self.refs: dict[int, int] = {}    # id -> stored adjoints living in the buffer
+        self.replayed = False
+
+    def take(self, shape: tuple[int, ...]) -> Array:
+        n = math.prod(shape)
+        i = bisect.bisect_left(self.sizes, n)
+        if i < len(self.sizes) and self.sizes[i] <= 2 * n:
+            stack = self.free[self.sizes[i]]
+            flat = stack.pop()
+            if not stack:
+                del self.free[self.sizes.pop(i)]
+        else:
+            self.need += -(-n // 8) * 8
+            if self.need <= self.arena.size:
+                flat = self.arena[self.top:self.top + n]
+                self.top = self.need
+            else:
+                flat = np.empty(n)
+        buf = flat[:n].reshape(shape)
+        self.lent[id(buf)] = (buf, flat)
+        self.log.append(buf)
+        return buf
+
+    def give(self, buf: Array) -> None:
+        held = self.lent.pop(id(buf), None)
+        if held is not None:
+            flat = held[1]
+            if _POISON:
+                flat.fill(np.nan)
+            if flat.size not in self.free:
+                bisect.insort(self.sizes, flat.size)
+            self.free.setdefault(flat.size, []).append(flat)
+
+    def exclusive(self, g: Array) -> bool:
+        """Whether ``g`` is a buffer of this workspace that no stored adjoint uses."""
+        return id(g) in self.lent and not self.refs.get(id(g))
+
+    def reset(self) -> None:
+        if _POISON:
+            for _, flat in self.lent.values():
+                flat.fill(np.nan)
+        if self.need > self.arena.size:
+            self.arena = np.empty(self.need)
+        self.top = self.need = 0
+        self.free.clear()
+        self.sizes.clear()
+        self.lent.clear()
+        self.log.clear()
+        self.ends.clear()
+        self.refs.clear()
+        self.replayed = False
+
+    def retire(self, entry: int) -> None:
+        """Hand back the arrays tape entry ``entry`` took in the forward pass."""
+        for buf in self.log[self.ends[entry - 1] if entry else 0:self.ends[entry]]:
+            self.give(buf)
+
+    # -- liveness of the backward pass's buffers --------------------------
+
+    def owner(self, gt: Array, g: Array, g_owner: Array | None, mark: int) -> Array | None:
+        """The lent buffer whose memory a pullback's result ``gt`` lies in, if any.
+
+        A pullback returns a buffer it took, a view of one, or its incoming
+        adjoint ``g`` or a view of it (``add``, ``concat``, ``reshape``);
+        ``mark`` is the length of ``log`` when it started.
+        """
+        if id(gt) in self.lent:
+            return gt
+        if g_owner is not None and np.may_share_memory(gt, g):
+            return g_owner
+        for buf in self.log[mark:]:
+            if np.may_share_memory(gt, buf):
+                return buf
+        return None
+
+    def hold(self, buf: Array | None) -> None:
+        if buf is not None:
+            self.refs[id(buf)] = self.refs.get(id(buf), 0) + 1
+
+    def drop(self, buf: Array | None) -> None:
+        if buf is not None:
+            self.refs[id(buf)] -= 1
+
+    def sweep(self, mark: int, *done: Array | None) -> None:
+        """Hand back the buffers taken since ``mark``, and ``done``, that no stored adjoint uses."""
+        for buf in (*self.log[mark:], *done):
+            if buf is not None and not self.refs.get(id(buf)):
+                self.give(buf)
+
+
+_WORKSPACE: _Workspace | None = None
+_POISON = False  # tests set it: every buffer handed back is filled with NaN
+
+
+@contextmanager
+def step_workspace():
+    """Run a training loop's steps on reused buffers (see ``_Workspace``).
+
+    Inside, an array the previous step recorded is reused by the next one:
+    no tensor may be used after the ``reset_tape()`` that ends its step.
+    """
+    global _WORKSPACE
+    _WORKSPACE = _Workspace()
+    try:
+        yield
+    finally:
+        _WORKSPACE = None
+
+
+def _alloc(inputs: tuple["Tensor", ...]):
+    """Allocator for the arrays an op keeps: the workspace's when the op is recorded."""
+    if _WORKSPACE is not None and _RECORDING[-1] and any(t.requires_grad for t in inputs):
+        return _WORKSPACE.take
+    return np.empty
+
+
+def _scratch(shape: tuple[int, ...]) -> Array:
+    """A buffer for the backward pass, from the workspace when there is one."""
+    return np.empty(shape) if _WORKSPACE is None else _WORKSPACE.take(shape)
+
+
+def _zeros(shape: tuple[int, ...]) -> Array:
+    buf = _scratch(shape)
+    buf.fill(0.0)
+    return buf
+
+
+def _release(*bufs: Array) -> None:
+    """Hand finished temporaries back to the workspace before their step ends."""
+    if _WORKSPACE is not None:
+        for buf in bufs:
+            _WORKSPACE.give(buf)
+
+
 def active_tape() -> GradTape:
     return _TAPE
 
 
 def reset_tape() -> None:
     _TAPE.clear()
+    if _WORKSPACE is not None:
+        _WORKSPACE.reset()
 
 
 @contextmanager
@@ -167,6 +338,8 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array, pullback: Pullback) -> 
     if _RECORDING[-1] and any(t.requires_grad for t in inputs):
         out = Tensor(out_data, requires_grad=True)
         _TAPE.record(out, inputs, pullback)
+        if _WORKSPACE is not None:
+            _WORKSPACE.ends.append(len(_WORKSPACE.log))
         return out
     return Tensor(out_data)
 
@@ -196,7 +369,7 @@ def _unbroadcast(g: Array | None, shape: tuple[int, ...]) -> Array | None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("add", a, b)
-    out = a.data + b.data
+    out = np.add(a.data, b.data, out=_alloc((a, b))(max(a.shape, b.shape, key=len)))
 
     def pullback(g):
         ga = _unbroadcast(g, a.shape) if a.requires_grad else None
@@ -326,15 +499,26 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record((a,), out, pullback)
 
 
-def _softmax(x: Array) -> Array:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+# The helpers below compute in place, into ``out`` or ``into`` when given
+# (which may be the input itself): each in-place ufunc computes what the
+# expression it stands for computed, so the bytes are the same.
 
 
-def _softmax_pullback(g: Array, out: Array) -> Array:
-    inner = (g * out).sum(axis=-1, keepdims=True)
-    return (g - inner) * out
+def _softmax(x: Array, out: Array | None = None) -> Array:
+    """``exp(x - max) / sum`` over the last axis."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_pullback(g: Array, out: Array, into: Array | None = None,
+                      scratch: Array | None = None) -> Array:
+    """``(g - sum(g * out)) * out`` over the last axis."""
+    inner = np.multiply(g, out, out=scratch).sum(axis=-1, keepdims=True)
+    res = np.subtract(g, inner, out=into)
+    res *= out
+    return res
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -343,19 +527,26 @@ def softmax(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (_softmax_pullback(g, out) if a.requires_grad else None,))
 
 
-def _normalize(x: Array, eps: float) -> tuple[Array, Array]:
-    """Last-axis standardisation and the reciprocal deviation it divided by."""
+def _normalize(x: Array, eps: float, out: Array | None = None,
+               scratch: Array | None = None) -> tuple[Array, Array]:
+    """Last-axis standardisation ``(x - mu) * inv`` and the reciprocal deviation ``inv``."""
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = np.subtract(x, mu, out=out)
+    var = np.multiply(xc, xc, out=scratch).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
+    xc *= inv
+    return xc, inv
 
 
-def _normalize_pullback(g: Array, out: Array, inv: Array) -> Array:
+def _normalize_pullback(g: Array, out: Array, inv: Array, into: Array | None = None,
+                        scratch: Array | None = None) -> Array:
+    """``(g - mean(g) - out * mean(g * out)) * inv`` over the last axis."""
     gm = g.mean(axis=-1, keepdims=True)
-    gy = (g * out).mean(axis=-1, keepdims=True)
-    return (g - gm - out * gy) * inv
+    gy = np.multiply(g, out, out=scratch).mean(axis=-1, keepdims=True)
+    res = np.subtract(g, gm, out=into)
+    res -= np.multiply(out, gy, out=scratch)
+    res *= inv
+    return res
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -447,8 +638,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             raise ValueError(
                 f"concat: shape {t.shape} incompatible with {tensors[0].shape} along axis {axis}"
             )
-    out = np.concatenate([t.data for t in tensors], axis=ax)
     sizes = [t.shape[ax] for t in tensors]
+    base[ax] = sum(sizes)
+    out = np.concatenate([t.data for t in tensors], axis=ax, out=_alloc(tuple(tensors))(tuple(base)))
     offsets = np.cumsum([0] + sizes)
 
     def pullback(g):
@@ -474,12 +666,13 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[ax] = slice(start, stop)
     index = tuple(index)
-    out = a.data[index].copy()
+    out = _alloc((a,))(a.shape[:ax] + (stop - start,) + a.shape[ax + 1:])
+    out[...] = a.data[index]
 
     def pullback(g):
         if not a.requires_grad:
             return (None,)
-        full = np.zeros_like(a.data)
+        full = _zeros(a.shape)
         full[index] = g
         return (full,)
 
@@ -490,7 +683,8 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
     """Replicate a tensor across a new leading batch axis of length ``n``."""
     if n < 1:
         raise ValueError(f"expand_leading: batch size must be positive, got {n}")
-    out = np.broadcast_to(a.data, (n,) + a.shape).copy()
+    out = _alloc((a,))((n,) + a.shape)
+    out[...] = a.data
 
     def pullback(g):
         return (g.sum(axis=0) if a.requires_grad else None,)
@@ -529,22 +723,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
             f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not chain "
             "(need x (..., n, k), w (k, m), b (m,))"
         )
-    out = x.data @ w.data
-    out += b.data
     inputs = (x, w, b)
+    shape = x.shape[:-1] + w.shape[1:]
     if residual is not None:
-        if residual.shape != out.shape:
-            raise ValueError(f"linear: residual {residual.shape} does not match output {out.shape}")
-        out += residual.data
+        if residual.shape != shape:
+            raise ValueError(f"linear: residual {residual.shape} does not match output {shape}")
         inputs += (residual,)
+    out = np.matmul(x.data, w.data, out=_alloc(inputs)(shape))
+    out += b.data
+    if residual is not None:
+        out += residual.data
     if relu:
         np.maximum(out, 0.0, out=out)
 
     def pullback(g):
-        if relu:
-            g = g * (out > 0.0)
-        gx = g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape) if w.requires_grad else None
+        if relu:  # masked in place when backward holds the only use of g
+            mine = _WORKSPACE is not None and _WORKSPACE.exclusive(g)
+            g = np.multiply(g, out > 0.0, out=g if mine else _scratch(g.shape))
+        gx = np.matmul(g, np.swapaxes(w.data, -1, -2), out=_scratch(x.shape)) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            xt = np.swapaxes(x.data, -1, -2)
+            gw = _unbroadcast(np.matmul(xt, g, out=_scratch(x.shape[:-2] + w.shape)), w.shape)
         gb = _unbroadcast(g, b.shape) if b.requires_grad else None
         if residual is None:
             return gx, gw, gb
@@ -560,13 +760,20 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
             f"layer_norm_affine: gamma {gamma.shape} and beta {beta.shape} must both be "
             f"the last axis of {a.shape}"
         )
-    norm, inv = _normalize(a.data, eps)
-    out = norm * gamma.data
+    new = _alloc((a, gamma, beta))
+    out = new(a.shape)
+    norm, inv = _normalize(a.data, eps, out=new(a.shape), scratch=out)
+    np.multiply(norm, gamma.data, out=out)
     out += beta.data
 
     def pullback(g):
-        ga = _normalize_pullback(g * gamma.data, norm, inv) if a.requires_grad else None
-        gg = _unbroadcast(g * norm, gamma.shape) if gamma.requires_grad else None
+        ga = gg = None
+        tmp = _scratch(a.shape)
+        if a.requires_grad:
+            ga = np.multiply(g, gamma.data, out=_scratch(a.shape))
+            _normalize_pullback(ga, norm, inv, into=ga, scratch=tmp)
+        if gamma.requires_grad:
+            gg = _unbroadcast(np.multiply(g, norm, out=tmp), gamma.shape)
         gb = _unbroadcast(g, beta.shape) if beta.requires_grad else None
         return ga, gg, gb
 
@@ -591,33 +798,49 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = 1.0 / np.sqrt(dh)
     slices = [(Ellipsis, slice(h * dh, (h + 1) * dh)) for h in range(heads)]
 
-    def operands(sl):
-        # contiguous per-head copies; rebuilt in the pullback, not kept
-        return q.data[sl].copy(), np.swapaxes(k.data[sl], -1, -2).copy(), v.data[sl].copy()
+    n = q.shape[-2]
+    head, head_t, scores = q.shape[:-1] + (dh,), q.shape[:-2] + (dh, n), q.shape[:-1] + (n,)
 
-    out = np.empty(q.shape)
+    def operands(sl, new):
+        # contiguous per-head copies; rebuilt in the pullback, not kept
+        qs, kt, vs = new(head), new(head_t), new(head)
+        qs[...] = q.data[sl]
+        kt[...] = np.swapaxes(k.data[sl], -1, -2)
+        vs[...] = v.data[sl]
+        return qs, kt, vs
+
+    new = _alloc((q, k, v))
+    out = new(q.shape)
     attns = []
     for sl in slices:
-        qs, kt, vs = operands(sl)
-        s = qs @ kt
+        qs, kt, vs = operands(sl, new)
+        s = np.matmul(qs, kt, out=new(scores))
         s *= scale
-        attns.append(_softmax(s))
-        out[sl] = attns[-1] @ vs
+        attns.append(_softmax(s, out=s))
+        out[sl] = np.matmul(s, vs, out=qs)
+        _release(qs, kt, vs)
 
     def pullback(g):
-        gq, gk, gv = (np.zeros(t.shape) if t.requires_grad else None for t in (q, k, v))
+        gq, gk, gv = (_zeros(t.shape) if t.requires_grad else None for t in (q, k, v))
         alone = heads == 1
+        part = _scratch(head)
         for sl, attn in zip(reversed(slices), reversed(attns)):
-            qs, kt, vs = operands(sl)
+            qs, kt, vs = operands(sl, _scratch)
             go = g[sl]
             if gv is not None:
-                _write_slice(gv, sl, np.swapaxes(attn, -1, -2) @ go, alone)
+                _write_slice(gv, sl, np.matmul(np.swapaxes(attn, -1, -2), go, out=part), alone)
             if gq is not None or gk is not None:
-                gs = _softmax_pullback(go @ np.swapaxes(vs, -1, -2), attn) * scale
+                gs = np.matmul(go, np.swapaxes(vs, -1, -2), out=_scratch(scores))
+                tmp = _scratch(scores)
+                _softmax_pullback(gs, attn, into=gs, scratch=tmp)
+                gs *= scale
                 if gq is not None:
-                    _write_slice(gq, sl, gs @ np.swapaxes(kt, -1, -2), alone)
+                    _write_slice(gq, sl, np.matmul(gs, np.swapaxes(kt, -1, -2), out=part), alone)
                 if gk is not None:
-                    _write_slice(gk, sl, np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2), alone)
+                    kpart = np.matmul(np.swapaxes(qs, -1, -2), gs, out=kt)
+                    _write_slice(gk, sl, np.swapaxes(kpart, -1, -2), alone)
+                _release(gs, tmp)
+            _release(qs, kt, vs)
         return gq, gk, gv
 
     return _record((q, k, v), out, pullback)
@@ -650,7 +873,7 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
     order = range(m - 1, -1, -1)
 
     def pullback(g):
-        gx = np.zeros(x.shape) if x.requires_grad else None
+        gx = _zeros(x.shape) if x.requires_grad else None
         grads = []
         for j in order:
             col = g[..., j:j + 1]
@@ -675,25 +898,53 @@ def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into ``.grad`` of every reachable leaf.
 
     The root must hold a single element. Repeating the call without
-    clearing grads accumulates again (the tape is replayed, not consumed).
+    clearing grads accumulates again (the tape is replayed, not consumed),
+    except inside a step workspace, where the replay hands each op's arrays
+    back and a second call raises.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
-    adjoint: dict[int, Array] = {id(root): np.ones_like(root.data)}
-    for out, inputs, pullback in reversed(_TAPE._entries):
-        g = adjoint.pop(id(out), None)
-        if g is None:
+    ws = _WORKSPACE
+    if ws is not None:
+        if ws.replayed or len(ws.ends) != len(_TAPE):
+            raise ValueError("backward: in a step workspace the tape is replayed once, "
+                             "after the reset_tape() that began the step (already replayed?)")
+        ws.replayed = True
+    # id(tensor) -> (adjoint, the workspace buffer it lives in or None)
+    adjoint: dict[int, tuple[Array, Array | None]] = {id(root): (np.ones_like(root.data), None)}
+    for i in range(len(_TAPE) - 1, -1, -1):
+        out, inputs, pullback = _TAPE._entries[i]
+        popped = adjoint.pop(id(out), None)
+        if popped is None:
+            if ws is not None:
+                ws.retire(i)
             continue
+        g, g_owner = popped
+        if ws is not None:
+            ws.drop(g_owner)
+            mark, done = len(ws.log), [g_owner]
         for t, gt in zip(inputs, pullback(g)):
             if gt is None:
                 continue
             if _TAPE.produced(t):
                 acc = adjoint.get(id(t))
-                adjoint[id(t)] = gt if acc is None else acc + gt
+                if acc is None:
+                    owner = None if ws is None else ws.owner(gt, g, g_owner, mark)
+                else:
+                    gt = owner = np.add(acc[0], gt, out=_scratch(gt.shape))
+                    if ws is not None:
+                        ws.drop(acc[1])
+                        done.append(acc[1])
+                adjoint[id(t)] = (gt, owner)
+                if ws is not None:
+                    ws.hold(owner)
             elif t.requires_grad:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
-                t.grad = t.grad + gt
+                np.add(t.grad, gt, out=t.grad)
+        if ws is not None:
+            ws.retire(i)
+            ws.sweep(mark, *done)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

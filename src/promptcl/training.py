@@ -33,7 +33,7 @@ from .prompts import (
 from .protocol import RunConfig, Task, TaskStream, build_task_stream
 from .reporting import REPORT_FORMAT, Report
 from .seeds import seeded_rng
-from .tensor import backward, reset_tape, zero_grads
+from .tensor import backward, reset_tape, step_workspace, zero_grads
 
 
 class Adam:
@@ -54,9 +54,19 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # In place, with the ufuncs and operand order of
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+            # p = p - lr * (m / c1) / (sqrt(v / c2) + eps).
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            delta = np.multiply(lr, m / c1)
+            den = np.sqrt(v / c2)
+            den += self.eps
+            delta /= den
+            p.data -= delta
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -70,8 +80,9 @@ def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: R
          seed_parts, what: str = "training") -> dict:
     """Shared minibatch loop for stages and pretraining.
 
-    ``what`` names the loop ("stage 2", "pretraining") in errors. Whether
-    it returns or raises, the tape is left empty and every parameter
+    ``what`` names the loop ("stage 2", "pretraining") in errors. The
+    steps run in a ``step_workspace``. Whether it returns or raises, the
+    workspace is dropped, the tape is left empty and every parameter
     trainable again.
     """
     n = images.shape[0]
@@ -91,22 +102,23 @@ def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: R
         order_rng = seeded_rng(*seed_parts)
         step = 0
         last_loss = float("nan")
-        for _ in range(epochs):
-            perm = order_rng.permutation(n)
-            for start in range(0, n, batch):
-                pick = perm[start:start + batch]
-                reset_tape()
-                zero_grads(trainables.values())
-                logits = forward_logits(state, images[pick], class_ids=class_ids)
-                loss = asl_loss(logits, labels[pick], cfg.asl)
-                if cfg.ortho_weight > 0.0:
-                    loss = loss + cfg.ortho_weight * orthogonality_penalty(state.pool)
-                last_loss = loss.item()
-                if not math.isfinite(last_loss):
-                    raise ValueError(f"{what}: loss is {last_loss} at step {step}")
-                backward(loss)
-                opt.step(cosine_lr(cfg.lr, step, total_steps))
-                step += 1
+        with step_workspace():
+            for _ in range(epochs):
+                perm = order_rng.permutation(n)
+                for start in range(0, n, batch):
+                    pick = perm[start:start + batch]
+                    reset_tape()
+                    zero_grads(trainables.values())
+                    logits = forward_logits(state, images[pick], class_ids=class_ids)
+                    loss = asl_loss(logits, labels[pick], cfg.asl)
+                    if cfg.ortho_weight > 0.0:
+                        loss = loss + cfg.ortho_weight * orthogonality_penalty(state.pool)
+                    last_loss = loss.item()
+                    if not math.isfinite(last_loss):
+                        raise ValueError(f"{what}: loss is {last_loss} at step {step}")
+                    backward(loss)
+                    opt.step(cosine_lr(cfg.lr, step, total_steps))
+                    step += 1
     finally:
         reset_tape()
         for t in named.values():

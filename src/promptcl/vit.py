@@ -189,20 +189,21 @@ def _mlp(x: Tensor, block: BlockParams, residual: Tensor) -> Tensor:
 def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
     post-attention residual and its output joins the main residual sum."""
-    h = layer_norm_affine(x, block.ln1_g, block.ln1_b)
-    x_o = _attention(h, block, heads, residual=x)
+    x_o = _attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual=x)
     y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o)
     if adapter is None:
         return y_o
     return y_o + adapter_forward(x_o, adapter)
 
 
-def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None):
+def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None,
+                    patch_rows: bool = True):
     """Run the full encoder on a (B, H, W) batch and split the output sequence.
 
     Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
     prompts are registered) and the (B, N, d) patch output rows, both after
-    the final layer norm.
+    the final layer norm. With ``patch_rows=False`` the patch rows are not
+    copied out and ``o_I`` is None.
     """
     cfg = params.config
     x = patchify(images, params)
@@ -223,5 +224,5 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
 
     o_P = narrow(x, -2, 0, n)
-    o_I = narrow(x, -2, n, n + cfg.n_patches)
+    o_I = narrow(x, -2, n, n + cfg.n_patches) if patch_rows else None
     return o_P, o_I

@@ -6,10 +6,10 @@ checksum. The same is done to one ``.sample`` file of a dataset. Each case
 must either fail with exit code 1 and a single ``error:`` line on stderr,
 or succeed with exactly the output of the intact file (a flipped zip
 timestamp, say, changes no content). Checkpoint arrays that disagree with
-the metadata or hold non-finite or non-numeric values, configs and
-``gen-data`` specs with degenerate sizes or non-finite values, and JSON
-files that are not reports (or whose nested values are broken) must fail
-the same way.
+the metadata or hold non-finite, non-numeric or pickled values, checkpoint
+metadata that is not UTF-8 JSON, configs and ``gen-data`` specs with
+degenerate sizes, negative noise or non-finite values, and JSON files that
+are not reports (or whose nested values are broken) must fail the same way.
 """
 
 import contextlib
@@ -190,6 +190,21 @@ def test_checkpoint_arrays_that_disagree_with_metadata_name_the_file(checkpoint,
     assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]), f"load_checkpoint: {path} ")
 
 
+@pytest.mark.parametrize("name, value, needle", [
+    ("prompt.0000", np.array(list("abcdefgh"), dtype=object), "is not a readable container"),
+    ("__meta__", np.frombuffer(b"\xff\xfe{}", dtype=np.uint8), "has malformed metadata"),
+    ("__meta__", np.frombuffer(b"{not json", dtype=np.uint8), "has malformed metadata"),
+], ids=["object-array", "non-utf8-metadata", "non-json-metadata"])
+def test_checkpoint_content_numpy_or_json_cannot_read_names_the_file(checkpoint, tmp_path, name, value, needle):
+    # np.savez pickles the object array, which _write_npz refuses to write.
+    with np.load(checkpoint[0]) as bundle:
+        blobs = {k: bundle[k] for k in bundle.files}
+    path = tmp_path / "edited.npz"
+    np.savez(path, **{**blobs, name: value})
+    assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]),
+                          f"load_checkpoint: {path} {needle}")
+
+
 @pytest.mark.parametrize("command", ["pretrain", "run"])
 @pytest.mark.parametrize("line", [
     "heads = 0", "patch_side = 0", "patch_side = -4", "image_side = 0", "pretrain_epochs = 0", "pretrain_epochs = -2",
@@ -212,7 +227,9 @@ def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
     (["--noise-sigma", "nan"], "noise_sigma"),
     (["--shift-contrast", "nan"], "contrast"),
     (["--shift-offset", "inf"], "offset"),
-], ids=["zero-stamp-side", "negative-train", "zero-cell-side", "nan-noise-sigma", "nan-shift-contrast", "inf-shift-offset"])
+    (["--noise-sigma", "-1"], "noise_sigma"),
+], ids=["zero-stamp-side", "negative-train", "zero-cell-side", "nan-noise-sigma", "nan-shift-contrast", "inf-shift-offset",
+        "negative-noise-sigma"])
 def test_degenerate_dataset_specs_give_one_error_line(tmp_path, flags, field):
     out = tmp_path / "ds"
     rc, stdout, err = run_cli(["gen-data", "--out", str(out), "--classes", "4", "--image-side", "8", *flags])

@@ -172,16 +172,14 @@ def _block_and_readout(ops, arrays, heads, rows, gamma_trainable):
     logits = readout(y, rows, [p[f"head{j}_w"] for j in range(len(rows))],
                      [p[f"head{j}_b"] for j in range(len(rows))])
     loss = (logits * Tensor(arrays["target"][..., :len(rows)])).sum()
+    outs = [y.data.copy(), logits.data.copy(), loss.data.copy()]  # a step workspace recycles them in backward
     backward(loss)
     reset_tape()
-    return [y.data, logits.data, loss.data], {name: leaf.grad for name, leaf in p.items()}
+    return outs, {name: leaf.grad for name, leaf in p.items()}
 
 
-@pytest.mark.parametrize("batch", [1, 7, 64])
-@pytest.mark.parametrize("heads", [1, 4])
-@pytest.mark.parametrize("gamma_trainable", [True, False])
-@pytest.mark.parametrize("rows", [[3, 0, 4], [2]])
-def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_trainable, rows):
+def block_arrays(batch, heads):
+    """Inputs and weights of ``_block_and_readout`` for one parameter case."""
     r = rng_for(batch * 10 + heads)
     n, d = 5, 8
     arrays = {"x": r.normal(size=(batch, n, d)), "gamma": 1.0 + 0.1 * r.normal(size=d),
@@ -193,6 +191,15 @@ def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_train
     for j in range(3):
         arrays[f"head{j}_w"] = r.normal(size=d)
         arrays[f"head{j}_b"] = np.float64(r.normal())
+    return arrays
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("gamma_trainable", [True, False])
+@pytest.mark.parametrize("rows", [[3, 0, 4], [2]])
+def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_trainable, rows):
+    arrays = block_arrays(batch, heads)
     fused_outs, fused_grads = _block_and_readout(FUSED, arrays, heads, rows, gamma_trainable)
     plain_outs, plain_grads = _block_and_readout(UNFUSED, arrays, heads, rows, gamma_trainable)
     for fused, plain in zip(fused_outs, plain_outs):
