@@ -55,8 +55,10 @@ def attach_adapters(config) -> AdapterStack:
     return AdapterStack(layers)
 
 
-def adapter_forward(x: Tensor, adapter: AdapterLayer) -> Tensor:
-    return linear(linear(x, adapter.down_w, adapter.down_b, relu=True), adapter.up_w, adapter.up_b)
+def adapter_forward(x: Tensor, adapter: AdapterLayer, pad_rows: int | None = None) -> Tensor:
+    """The adapter branch of ``x``; ``pad_rows`` as in ``linear``."""
+    hidden = linear(x, adapter.down_w, adapter.down_b, relu=True, pad_rows=pad_rows)
+    return linear(hidden, adapter.up_w, adapter.up_b, pad_rows=pad_rows)
 
 
 def compute_trainable_mask(

@@ -715,14 +715,40 @@ def _write_slice(buf: Array, index: tuple, part: Array, alone: bool) -> None:
         buf[index] += part
 
 
+def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None) -> Array:
+    """``g @ w.T`` into a new buffer of ``shape``, computed on ``pad_rows`` rows when given."""
+    wt = np.swapaxes(w, -1, -2)
+    rows = shape[-2]
+    if pad_rows is None or pad_rows == rows:
+        return np.matmul(g, wt, out=_scratch(shape))
+    lead = shape[:-2]
+    padded = _scratch(lead + (pad_rows, g.shape[-1]))
+    padded[..., :rows, :] = g
+    padded[..., rows:, :] = 0.0
+    full = np.matmul(padded, wt, out=_scratch(lead + (pad_rows, shape[-1])))
+    gx = _scratch(shape)
+    gx[...] = full[..., :rows, :]
+    _release(padded, full)
+    return gx
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
-           relu: bool = False) -> Tensor:
-    """``x @ w + b``, plus ``residual`` when given, then ReLU when asked."""
+           relu: bool = False, pad_rows: int | None = None) -> Tensor:
+    """``x @ w + b``, plus ``residual`` when given, then ReLU when asked.
+
+    With ``pad_rows``, the input gradient ``g @ w.T`` is computed on the
+    adjoint zero-padded to that many rows and cut back to ``x``'s rows:
+    BLAS picks its kernel by row count, so the rows of ``x`` then get the
+    bits they would get as the leading rows of a ``pad_rows``-row input
+    whose other rows have zero adjoint.
+    """
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
         raise ValueError(
             f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not chain "
             "(need x (..., n, k), w (k, m), b (m,))"
         )
+    if pad_rows is not None and pad_rows < x.shape[-2]:
+        raise ValueError(f"linear: pad_rows {pad_rows} is fewer than the rows of x {x.shape}")
     inputs = (x, w, b)
     shape = x.shape[:-1] + w.shape[1:]
     if residual is not None:
@@ -740,7 +766,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         if relu:  # masked in place when backward holds the only use of g
             mine = _WORKSPACE is not None and _WORKSPACE.exclusive(g)
             g = np.multiply(g, out > 0.0, out=g if mine else _scratch(g.shape))
-        gx = np.matmul(g, np.swapaxes(w.data, -1, -2), out=_scratch(x.shape)) if x.requires_grad else None
+        gx = _input_grad(g, w.data, x.shape, pad_rows) if x.requires_grad else None
         gw = None
         if w.requires_grad:
             xt = np.swapaxes(x.data, -1, -2)
@@ -783,13 +809,16 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention over ``heads`` equal slices of the last axis.
 
-    ``q``, ``k`` and ``v`` are (..., T, d); head ``h`` reads features
+    ``k`` and ``v`` are (..., T, d) and ``q`` is (..., Tq, d) with Tq <= T:
+    the Tq queries attend to all T keys. Head ``h`` reads features
     ``[h*d/heads, (h+1)*d/heads)`` and writes the same slice of the output.
     The heads run one after another on contiguous copies of their slices.
     """
-    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
+    if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim or q.shape[-2] > k.shape[-2]
+            or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
         raise ValueError(
-            f"multi_head_attention: q {q.shape}, k {k.shape}, v {v.shape} must share one (..., T, d) shape"
+            f"multi_head_attention: q {q.shape}, k {k.shape}, v {v.shape} must be (..., Tq, d), "
+            "(..., T, d) and (..., T, d) with Tq <= T"
         )
     d = q.shape[-1]
     if heads < 1 or d % heads != 0:
@@ -798,12 +827,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = 1.0 / np.sqrt(dh)
     slices = [(Ellipsis, slice(h * dh, (h + 1) * dh)) for h in range(heads)]
 
-    n = q.shape[-2]
-    head, head_t, scores = q.shape[:-1] + (dh,), q.shape[:-2] + (dh, n), q.shape[:-1] + (n,)
+    keys = k.shape[-2]
+    head, head_kv = q.shape[:-1] + (dh,), k.shape[:-1] + (dh,)
+    head_t, scores = k.shape[:-2] + (dh, keys), q.shape[:-1] + (keys,)
 
     def operands(sl, new):
         # contiguous per-head copies; rebuilt in the pullback, not kept
-        qs, kt, vs = new(head), new(head_t), new(head)
+        qs, kt, vs = new(head), new(head_t), new(head_kv)
         qs[...] = q.data[sl]
         kt[...] = np.swapaxes(k.data[sl], -1, -2)
         vs[...] = v.data[sl]
@@ -824,11 +854,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gq, gk, gv = (_zeros(t.shape) if t.requires_grad else None for t in (q, k, v))
         alone = heads == 1
         part = _scratch(head)
+        part_kv = part if head_kv == head else _scratch(head_kv)
         for sl, attn in zip(reversed(slices), reversed(attns)):
             qs, kt, vs = operands(sl, _scratch)
             go = g[sl]
             if gv is not None:
-                _write_slice(gv, sl, np.matmul(np.swapaxes(attn, -1, -2), go, out=part), alone)
+                _write_slice(gv, sl, np.matmul(np.swapaxes(attn, -1, -2), go, out=part_kv), alone)
             if gq is not None or gk is not None:
                 gs = np.matmul(go, np.swapaxes(vs, -1, -2), out=_scratch(scores))
                 tmp = _scratch(scores)

@@ -173,27 +173,44 @@ def patchify(images, params: EncoderParams) -> Tensor:
     return linear(Tensor(patches), params.patch_w, params.patch_b) + params.pos
 
 
-def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor) -> Tensor:
-    """``residual`` plus multi-head self-attention over ``x``."""
-    q = linear(x, block.wq, block.bq)
+def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor,
+               rows: int | None = None) -> Tensor:
+    """``residual`` plus multi-head self-attention over ``x``.
+
+    With ``rows``, only the first ``rows`` tokens ask queries (all tokens
+    still give keys and values), and ``residual`` has that many rows.
+    """
+    pad = None if rows is None else x.shape[-2]
+    q = linear(x if rows is None else narrow(x, -2, 0, rows), block.wq, block.bq, pad_rows=pad)
     k = linear(x, block.wk, block.bk)
     v = linear(x, block.wv, block.bv)
-    return linear(multi_head_attention(q, k, v, heads), block.wo, block.bo, residual=residual)
+    return linear(multi_head_attention(q, k, v, heads), block.wo, block.bo, residual=residual, pad_rows=pad)
 
 
-def _mlp(x: Tensor, block: BlockParams, residual: Tensor) -> Tensor:
+def _mlp(x: Tensor, block: BlockParams, residual: Tensor, pad_rows: int | None = None) -> Tensor:
     """``residual`` plus the two-layer ReLU MLP of ``x``."""
-    return linear(linear(x, block.w1, block.b1, relu=True), block.w2, block.b2, residual=residual)
+    hidden = linear(x, block.w1, block.b1, relu=True, pad_rows=pad_rows)
+    return linear(hidden, block.w2, block.b2, residual=residual, pad_rows=pad_rows)
 
 
-def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None) -> Tensor:
+def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None,
+                rows: int | None = None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
-    post-attention residual and its output joins the main residual sum."""
-    x_o = _attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual=x)
-    y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o)
+    post-attention residual and its output joins the main residual sum.
+
+    With ``rows``, the block returns only its first ``rows`` output tokens
+    and computes nothing that only the other tokens' outputs need: those
+    tokens still feed the keys and values. The input gradients of its
+    row-restricted linears are computed at the full token count (see
+    ``linear``'s ``pad_rows``), so every bit matches the full block's.
+    """
+    pad = None if rows is None else x.shape[-2]
+    residual = x if rows is None else narrow(x, -2, 0, rows)
+    x_o = _attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual, rows)
+    y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o, pad_rows=pad)
     if adapter is None:
         return y_o
-    return y_o + adapter_forward(x_o, adapter)
+    return y_o + adapter_forward(x_o, adapter, pad_rows=pad)
 
 
 def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None,
@@ -202,8 +219,11 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
 
     Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
     prompts are registered) and the (B, N, d) patch output rows, both after
-    the final layer norm. With ``patch_rows=False`` the patch rows are not
-    copied out and ``o_I`` is None.
+    the final layer norm. With ``patch_rows=False``, ``o_I`` is None, and
+    when there are at least two prompts the last block and the final norm
+    run on the prompt rows only. With one prompt the row-restricted
+    products would be matrix-vector products, whose bits differ, so the
+    full path runs.
     """
     cfg = params.config
     x = patchify(images, params)
@@ -219,9 +239,13 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
     if n:
         x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
+    prompts_only = not patch_rows and n >= 2
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
-        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
+        rows = n if prompts_only and layer == cfg.layers else None
+        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=rows)
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
+    if prompts_only:
+        return x, None
 
     o_P = narrow(x, -2, 0, n)
     o_I = narrow(x, -2, n, n + cfg.n_patches) if patch_rows else None

@@ -74,6 +74,7 @@ def reference_layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tenso
 
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """``q`` (..., Tq, d) attends over ``k`` and ``v`` (..., T, d); Tq may be below T."""
     dh = q.shape[-1] // heads
     scale = 1.0 / np.sqrt(dh)
     outs = []

@@ -135,6 +135,10 @@ OP_CASES = {
         multi_head_attention(p, p * t(r.normal(size=(3, 4)), False), p.exp(), heads=2)
         * t(r.normal(size=(3, 4)), False)
     ).sum(),
+    "multi_head_attention_fewer_queries": lambda p, r: (
+        multi_head_attention(narrow(p, -2, 0, 2), p * t(r.normal(size=(3, 4)), False), p.exp(), heads=2)
+        * t(r.normal(size=(2, 4)), False)
+    ).sum(),
     "row_readout": lambda p, r: (
         row_readout(p, [2, 0, 2], [p.mean(axis=0), t(r.normal(size=(4,)), False), p.sum(axis=0)],
                     [p.sum(), t(0.3, False), t(-0.1)])
@@ -159,14 +163,19 @@ FUSED = (linear, layer_norm_affine, multi_head_attention, row_readout)
 UNFUSED = (reference_linear, reference_layer_norm_affine, reference_attention, reference_readout)
 
 
-def _block_and_readout(ops, arrays, heads, rows, gamma_trainable):
-    """Pre-norm transformer block plus per-row readout, on fresh leaves."""
+def _block_and_readout(ops, arrays, heads, rows, gamma_trainable, queries=None):
+    """Pre-norm transformer block plus per-row readout, on fresh leaves.
+
+    With ``queries``, only the first ``queries`` tokens attend (to all
+    tokens) and the block outputs only their rows.
+    """
     lin, norm_affine, attention, readout = ops
     p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
     p["gamma"].requires_grad = gamma_trainable
     h = norm_affine(p["x"], p["gamma"], p["beta"])
-    q, k, v = lin(h, p["wq"], p["bq"]), lin(h, p["wk"], p["bk"]), lin(h, p["wv"], p["bv"])
-    x_o = lin(attention(q, k, v, heads), p["wo"], p["bo"], residual=p["x"])
+    h_q, x_q = (h, p["x"]) if queries is None else (narrow(h, -2, 0, queries), narrow(p["x"], -2, 0, queries))
+    q, k, v = lin(h_q, p["wq"], p["bq"]), lin(h, p["wk"], p["bk"]), lin(h, p["wv"], p["bv"])
+    x_o = lin(attention(q, k, v, heads), p["wo"], p["bo"], residual=x_q)
     hidden = lin(norm_affine(x_o, p["gamma"], p["beta"]), p["w1"], p["b1"], relu=True)
     y = lin(hidden, p["w2"], p["b2"], residual=x_o)
     logits = readout(y, rows, [p[f"head{j}_w"] for j in range(len(rows))],
@@ -213,6 +222,51 @@ def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_train
             assert fused.shape == plain.shape and fused.tobytes() == plain.tobytes(), name
 
 
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("gamma_trainable", [True, False])
+def test_fused_attention_with_fewer_queries_is_byte_identical_to_unfused_chain(batch, heads, gamma_trainable):
+    arrays = block_arrays(batch, heads)
+    rows = [2, 0]
+    fused_outs, fused_grads = _block_and_readout(FUSED, arrays, heads, rows, gamma_trainable, queries=3)
+    plain_outs, plain_grads = _block_and_readout(UNFUSED, arrays, heads, rows, gamma_trainable, queries=3)
+    assert fused_outs[0].shape == (batch, 3, 8)
+    for fused, plain in zip(fused_outs, plain_outs):
+        assert fused.tobytes() == plain.tobytes()
+    assert fused_grads.keys() == plain_grads.keys()
+    for name, plain in plain_grads.items():
+        fused = fused_grads[name]
+        if plain is None:
+            assert fused is None, name
+        else:
+            assert fused.shape == plain.shape and fused.tobytes() == plain.tobytes(), name
+
+
+@pytest.mark.parametrize("rows, pad_rows, k, m", [(4, 20, 128, 32), (24, 40, 32, 32), (3, 3, 32, 128)])
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_rows, k, m, relu):
+    # The input gradient of a rows-row input equals, bit for bit, the
+    # leading rows of the gradient of a pad_rows-row input whose other rows
+    # get zero adjoint. A plain rows-row product differs for some row counts
+    # and widths (the first two cases, with OpenBLAS).
+    r = rng_for(rows)
+    x_all, w, b = r.normal(size=(3, pad_rows, k)), r.normal(size=(k, m)), r.normal(size=m)
+    target = r.normal(size=(3, rows, m))
+
+    def input_grad(x_data, **kwargs):
+        x = t(x_data)
+        out = linear(x, t(w), t(b), relu=relu, **kwargs)
+        backward((narrow(out, -2, 0, rows) * t(target, False)).sum())
+        reset_tape()
+        return x.grad
+
+    full = input_grad(x_all)
+    padded = input_grad(x_all[:, :rows], pad_rows=pad_rows)
+    assert padded.tobytes() == np.ascontiguousarray(full[:, :rows]).tobytes()
+    with pytest.raises(ValueError, match="pad_rows"):
+        linear(t(x_all), t(w), t(b), pad_rows=pad_rows - 1)
+
+
 def test_fused_ops_record_one_tape_entry_each():
     x = t(np.ones((2, 3, 4)))
     w, b, ones = t(np.ones((4, 4))), t(np.zeros(4)), t(np.ones(4))
@@ -238,6 +292,7 @@ def test_fused_ops_reject_mismatched_shapes():
         layer_norm_affine(x, t(np.ones(3)), t(np.zeros(4)))
     with pytest.raises(ValueError, match="multi_head_attention"):
         multi_head_attention(x, x, x, heads=3)
+    assert multi_head_attention(narrow(x, -2, 0, 1), x, x, heads=2).shape == (2, 1, 4)
     with pytest.raises(ValueError, match="row_readout"):
         row_readout(x, [3], [t(np.zeros(4))], [t(0.0)])
     with pytest.raises(ValueError, match="row_readout"):
@@ -394,3 +449,21 @@ def test_addition_gradient_is_ones_for_both(lhs, rhs):
     backward((a + b).sum())
     assert np.array_equal(a.grad, np.ones(4))
     assert np.array_equal(b.grad, np.ones(4))
+
+
+@pytest.mark.parametrize("q_shape, k_shape, v_shape", [
+    ((2, 4, 4), (2, 3, 4), (2, 3, 4)),  # more queries than keys
+    ((2, 3, 6), (2, 3, 4), (2, 3, 4)),  # query width differs
+    ((2, 2, 4), (2, 3, 4), (2, 3, 6)),  # value width differs
+    ((2, 2, 4), (2, 3, 4), (2, 2, 4)),  # keys and values differ in length
+    ((3, 2, 4), (2, 3, 4), (2, 3, 4)),  # leading dims differ
+    ((2, 4), (2, 3, 4), (2, 3, 4)),     # ranks differ
+])
+def test_attention_rejects_mismatched_query_key_value_shapes(q_shape, k_shape, v_shape):
+    q, k, v = (t(np.zeros(shape)) for shape in (q_shape, k_shape, v_shape))
+    with pytest.raises(ValueError) as err:
+        multi_head_attention(q, k, v, heads=2)
+    message = str(err.value)
+    assert message.startswith("multi_head_attention")
+    for shape in (q_shape, k_shape, v_shape):
+        assert str(shape) in message
