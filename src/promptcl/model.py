@@ -54,9 +54,14 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
 
 
 def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 64) -> np.ndarray:
-    """Sigmoid probabilities for a (B, H, W) batch, evaluated without recording to the tape."""
+    """Sigmoid probabilities for a (B, H, W) batch, evaluated without recording to the tape.
+
+    The result has one column per class; no images give no rows.
+    """
+    if batch_size < 1:
+        raise ValueError(f"predict_probs: batch_size must be >= 1, got {batch_size}")
     arr = np.asarray(images, dtype=np.float64)
-    chunks = []
+    chunks = [np.empty((0, len(state.bank.class_ids if class_ids is None else class_ids)))]
     with no_grad():
         for start in range(0, arr.shape[0], batch_size):
             logits = forward_logits(state, arr[start:start + batch_size], class_ids)

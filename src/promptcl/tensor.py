@@ -812,7 +812,14 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``k`` and ``v`` are (..., T, d) and ``q`` is (..., Tq, d) with Tq <= T:
     the Tq queries attend to all T keys. Head ``h`` reads features
     ``[h*d/heads, (h+1)*d/heads)`` and writes the same slice of the output.
-    The heads run one after another on contiguous copies of their slices.
+
+    All heads run in one stacked product per step, forward and backward,
+    on (..., heads, rows, d/heads) views of the operands. A stacked
+    ``matmul`` calls the same per-matrix BLAS routine whatever its batch
+    axes hold, so each head gets the bits of a product on a contiguous copy
+    of its slice, except where BLAS reads a view with other bits: the
+    transposed keys are therefore copied to (..., heads, d/heads, T), and
+    one-feature heads, which BLAS reads as strided vectors, are copied too.
     """
     if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim or q.shape[-2] > k.shape[-2]
             or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
@@ -821,57 +828,65 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             "(..., T, d) and (..., T, d) with Tq <= T"
         )
     d = q.shape[-1]
+    if d == 0:
+        raise ValueError("multi_head_attention: width 0 leaves no features to attend over")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"multi_head_attention: width {d} not divisible into {heads} heads")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    slices = [(Ellipsis, slice(h * dh, (h + 1) * dh)) for h in range(heads)]
+    lead, keys = q.shape[:-2], k.shape[-2]
+    head_t, scores = lead + (heads, dh, keys), lead + (heads, q.shape[-2], keys)
 
-    keys = k.shape[-2]
-    head, head_kv = q.shape[:-1] + (dh,), k.shape[:-1] + (dh,)
-    head_t, scores = k.shape[:-2] + (dh, keys), q.shape[:-1] + (keys,)
+    def split(a: Array) -> Array:
+        """The (..., heads, rows, dh) view of a (..., rows, d) array."""
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, dh)), -2, -3)
 
-    def operands(sl, new):
-        # contiguous per-head copies; rebuilt in the pullback, not kept
-        qs, kt, vs = new(head), new(head_t), new(head_kv)
-        qs[...] = q.data[sl]
-        kt[...] = np.swapaxes(k.data[sl], -1, -2)
-        vs[...] = v.data[sl]
-        return qs, kt, vs
+    def keys_t(new) -> Array:
+        # rebuilt in the pullback, not kept
+        kt = new(head_t)
+        kt[...] = np.swapaxes(split(k.data), -1, -2)
+        return kt
 
+    qh, vh = split(q.data), split(v.data)
+    if dh == 1:  # one-feature heads are vectors to BLAS, whose bits depend on their stride
+        qh, vh = qh.copy(), vh.copy()
     new = _alloc((q, k, v))
+    kt = keys_t(new)
+    attn = np.matmul(qh, kt, out=new(scores))
+    _release(kt)
+    del kt  # a plain array is freed here, so that the output may reuse its memory
+    attn *= scale
+    _softmax(attn, out=attn)
     out = new(q.shape)
-    attns = []
-    for sl in slices:
-        qs, kt, vs = operands(sl, new)
-        s = np.matmul(qs, kt, out=new(scores))
-        s *= scale
-        attns.append(_softmax(s, out=s))
-        out[sl] = np.matmul(s, vs, out=qs)
-        _release(qs, kt, vs)
+    np.matmul(attn, vh, out=split(out))
 
     def pullback(g):
-        gq, gk, gv = (_zeros(t.shape) if t.requires_grad else None for t in (q, k, v))
-        alone = heads == 1
-        part = _scratch(head)
-        part_kv = part if head_kv == head else _scratch(head_kv)
-        for sl, attn in zip(reversed(slices), reversed(attns)):
-            qs, kt, vs = operands(sl, _scratch)
-            go = g[sl]
-            if gv is not None:
-                _write_slice(gv, sl, np.matmul(np.swapaxes(attn, -1, -2), go, out=part_kv), alone)
-            if gq is not None or gk is not None:
-                gs = np.matmul(go, np.swapaxes(vs, -1, -2), out=_scratch(scores))
-                tmp = _scratch(scores)
-                _softmax_pullback(gs, attn, into=gs, scratch=tmp)
-                gs *= scale
-                if gq is not None:
-                    _write_slice(gq, sl, np.matmul(gs, np.swapaxes(kt, -1, -2), out=part), alone)
-                if gk is not None:
-                    kpart = np.matmul(np.swapaxes(qs, -1, -2), gs, out=kt)
-                    _write_slice(gk, sl, np.swapaxes(kpart, -1, -2), alone)
-                _release(gs, tmp)
-            _release(qs, kt, vs)
+        go = split(g)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = _scratch(v.shape)
+            np.matmul(np.swapaxes(attn, -1, -2), go, out=split(gv))
+        if q.requires_grad or k.requires_grad:
+            gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_scratch(scores))
+            tmp = _scratch(scores)
+            _softmax_pullback(gs, attn, into=gs, scratch=tmp)
+            _release(tmp)  # before the buffers below are taken, so that they may reuse it
+            gs *= scale
+            kt = keys_t(_scratch)
+            if q.requires_grad:
+                gq = _scratch(q.shape)
+                np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq))
+            if k.requires_grad:
+                np.matmul(np.swapaxes(qh, -1, -2), gs, out=kt)
+            _release(gs)  # before gk is taken, so that it may reuse it
+            if k.requires_grad:
+                gk = _scratch(k.shape)
+                split(gk)[...] = np.swapaxes(kt, -1, -2)
+            _release(kt)
+        if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
+            for grad in (gq, gk, gv):
+                if grad is not None:
+                    grad += 0.0
         return gq, gk, gv
 
     return _record((q, k, v), out, pullback)

@@ -1,5 +1,7 @@
 """Autodiff core: frozen hand values, finite-difference checks, tape rules."""
 
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +32,8 @@ from promptcl import (
     row_readout,
     zero_grads,
 )
-from promptcl.tensor import active_tape
+from promptcl import tensor
+from promptcl.tensor import active_tape, step_workspace
 
 
 def t(values, requires_grad=True):
@@ -242,6 +245,44 @@ def test_fused_attention_with_fewer_queries_is_byte_identical_to_unfused_chain(b
             assert fused.shape == plain.shape and fused.tobytes() == plain.tobytes(), name
 
 
+def _attention_and_grads(attention, arrays, heads, needs):
+    """Output and q/k/v gradients of ``(attention(q, k, v) * target).sum()``.
+
+    ``needs`` says which of q, k and v require grad; the others get None.
+    """
+    q, k, v = (Tensor(arrays[name], requires_grad=need) for name, need in zip("qkv", needs))
+    out = attention(q, k, v, heads)
+    data = out.data.copy()  # a step workspace recycles it in backward
+    if any(needs):
+        backward((out * Tensor(arrays["target"])).sum())
+    reset_tape()
+    return data, [x.grad for x in (q, k, v)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8, 32])
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=["2d", "batch", "two-batch-axes"])
+@pytest.mark.parametrize("queries", [20, 2, 1])
+def test_fused_attention_matches_the_unfused_chain_in_every_layout(monkeypatch, heads, lead, queries):
+    # Width 32 at every head count, so 32 heads are one feature wide; every
+    # subset of q, k and v requires grad; in and out of a poisoned workspace.
+    r = rng_for(heads * 100 + len(lead) * 10 + queries)
+    keys, d = 20, 32
+    arrays = {"q": r.normal(size=lead + (queries, d)), "k": r.normal(size=lead + (keys, d)),
+              "v": r.normal(size=lead + (keys, d)), "target": r.normal(size=lead + (queries, d))}
+    for poisoned in (False, True):
+        monkeypatch.setattr(tensor, "_POISON", poisoned)
+        for needs in itertools.product([False, True], repeat=3):
+            with step_workspace() if poisoned else contextlib.nullcontext():
+                fused, fused_grads = _attention_and_grads(multi_head_attention, arrays, heads, needs)
+                plain, plain_grads = _attention_and_grads(reference_attention, arrays, heads, needs)
+            assert fused.shape == lead + (queries, d) and fused.tobytes() == plain.tobytes()
+            for name, need, got, want in zip("qkv", needs, fused_grads, plain_grads):
+                if not need:
+                    assert got is None and want is None, name
+                else:
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, needs)
+
+
 @pytest.mark.parametrize("rows, pad_rows, k, m", [(4, 20, 128, 32), (24, 40, 32, 32), (3, 3, 32, 128)])
 @pytest.mark.parametrize("relu", [False, True])
 def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_rows, k, m, relu):
@@ -292,6 +333,9 @@ def test_fused_ops_reject_mismatched_shapes():
         layer_norm_affine(x, t(np.ones(3)), t(np.zeros(4)))
     with pytest.raises(ValueError, match="multi_head_attention"):
         multi_head_attention(x, x, x, heads=3)
+    empty = t(np.zeros((2, 3, 0)))
+    with pytest.raises(ValueError, match="multi_head_attention: width 0"):
+        multi_head_attention(empty, empty, empty, heads=1)
     assert multi_head_attention(narrow(x, -2, 0, 1), x, x, heads=2).shape == (2, 1, 4)
     with pytest.raises(ValueError, match="row_readout"):
         row_readout(x, [3], [t(np.zeros(4))], [t(0.0)])

@@ -244,6 +244,24 @@ def test_predict_probs_rejects_a_single_image():
         predict_probs(state, np.zeros((8, 8)))
 
 
+def test_predict_probs_of_zero_images_has_a_column_per_class():
+    state = build_model(ModelConfig(**MICRO_MODEL))
+    add_class_prompts(state.pool, state.bank, [0, 1, 2], stage=1)
+    side = state.config.image_side
+    for class_ids, width in ((None, 3), ([2, 0], 2)):
+        probs = predict_probs(state, np.zeros((0, side, side)), class_ids=class_ids)
+        assert probs.shape == (0, width) and probs.dtype == np.float64
+
+
+def test_predict_probs_rejects_a_batch_size_below_one():
+    state = build_model(ModelConfig(**MICRO_MODEL))
+    add_class_prompts(state.pool, state.bank, [0], stage=1)
+    images = np.zeros((2, state.config.image_side, state.config.image_side))
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"predict_probs: batch_size must be >= 1, got {size}$"):
+            predict_probs(state, images, batch_size=size)
+
+
 def test_evaluate_session_shape_and_order_guard():
     ds = micro_dataset()
     cfg = micro_config()

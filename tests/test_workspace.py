@@ -20,7 +20,7 @@ import pytest
 
 import test_tensor
 import test_training
-from promptcl import tensor, training
+from promptcl import ModelConfig, RunConfig, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import mask_to_task
 from promptcl.model import build_model, named_params
@@ -152,6 +152,30 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
     assert len(active_tape()) == 0
     assert tensor._RECORDING == [True]
     assert all(t.requires_grad for t in named_params(state).values())
+
+
+def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch):
+    # 2,424,704 float64 elements (18.5 MiB): this step's high-water mark
+    # measured at commit f51be57, whose attention ran its heads one after
+    # another on contiguous per-head copies.
+    needs = []
+
+    def recording_backward(root):
+        backward(root)
+        needs.append(tensor._WORKSPACE.need)
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    cfg = RunConfig(model=ModelConfig(), batch_size=64)
+    state = build_model(cfg.model)
+    class_ids = list(range(12))
+    add_class_prompts(state.pool, state.bank, class_ids, stage=1)
+    mask = compute_trainable_mask(1, state.pool, state.bank, state.adapters, state.backbone)
+    r = np.random.default_rng(0)
+    images = r.normal(size=(64, cfg.model.image_side, cfg.model.image_side))
+    labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
+    training._fit(state, images, labels, class_ids, mask, 1, cfg, (0, "workspace-need"))
+    assert len(needs) == 1
+    assert needs[0] <= 2_424_704
 
 
 FAULT_PROBE = """
