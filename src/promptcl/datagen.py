@@ -273,27 +273,27 @@ def _read_split(root: str, split: str, count: int, side: int, n_classes: int, wa
         raise ValueError(
             f"load_dataset: manifest promises {count} {split} samples, found {len(names)} files"
         )
-    expected = side * side * 8 + n_classes
-    images = np.empty((count, side, side), dtype=np.float64)
-    labels = np.empty((count, n_classes), dtype=np.uint8)
-    digest = hashlib.sha256()
+    pixel_bytes = side * side * 8
+    expected = pixel_bytes + n_classes
+    raw = np.empty((count, expected), dtype=np.uint8)
     for i, name in enumerate(names):
         path = os.path.join(split_dir, name)
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) != expected:
-            raise ValueError(
-                f"load_dataset: corrupted sample file {path}: {len(blob)} bytes, expected {expected}"
-            )
-        digest.update(blob)
-        images[i] = np.frombuffer(blob[: side * side * 8], dtype="<f8").reshape(side, side)
-        raw = np.frombuffer(blob[side * side * 8:], dtype=np.uint8)
-        if not np.isin(raw, (0, 1)).all():
-            raise ValueError(f"load_dataset: sample file {path} has label bytes outside 0/1")
-        labels[i] = raw
-    if want_hash is not None and digest.hexdigest() != want_hash:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected or fh.readinto(raw[i]) != expected:
+                raise ValueError(
+                    f"load_dataset: corrupted sample file {path}: {size} bytes, expected {expected}"
+                )
+    labels = raw[:, pixel_bytes:]
+    bad = np.flatnonzero(labels.max(axis=1, initial=0) > 1)
+    if bad.size:
+        path = os.path.join(split_dir, names[bad[0]])
+        raise ValueError(f"load_dataset: sample file {path} has label bytes outside 0/1")
+    if want_hash is not None and hashlib.sha256(raw).hexdigest() != want_hash:
         raise ValueError(f"load_dataset: {split} split content hash mismatch (files were modified)")
-    return images, labels
+    images = np.empty((count, side, side), dtype="<f8")
+    images.view(np.uint8).reshape(count, pixel_bytes)[...] = raw[:, :pixel_bytes]
+    return images.astype(np.float64, copy=False), labels.copy()
 
 
 def load_dataset(path: str) -> Dataset:

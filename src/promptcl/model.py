@@ -8,7 +8,7 @@ import numpy as np
 
 from .adapters import AdapterStack, attach_adapters
 from .prompts import ClassifierBank, PromptPool, classify
-from .tensor import Tensor, no_grad, stable_sigmoid
+from .tensor import Tensor, no_grad, stable_sigmoid, step_workspace
 from .vit import EncoderParams, ModelConfig, encoder_forward
 
 
@@ -56,14 +56,18 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
 def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 64) -> np.ndarray:
     """Sigmoid probabilities for a (B, H, W) batch, evaluated without recording to the tape.
 
+    The chunks of ``batch_size`` images run one after another in one step
+    workspace of their own.
+
     The result has one column per class; no images give no rows.
     """
     if batch_size < 1:
         raise ValueError(f"predict_probs: batch_size must be >= 1, got {batch_size}")
     arr = np.asarray(images, dtype=np.float64)
     chunks = [np.empty((0, len(state.bank.class_ids if class_ids is None else class_ids)))]
-    with no_grad():
+    with no_grad(), step_workspace() as workspace:
         for start in range(0, arr.shape[0], batch_size):
             logits = forward_logits(state, arr[start:start + batch_size], class_ids)
             chunks.append(stable_sigmoid(logits.data))
+            workspace.reset()  # the next chunk reuses this one's buffers; no tape was recorded
     return np.concatenate(chunks, axis=0)

@@ -6,15 +6,14 @@ broadcasting that is only allowed when one operand's shape is a trailing
 suffix of the other's (leading axes act as batch dimensions). Anything
 fancier is rejected with an error naming the op and both shapes.
 
-A training loop may run its steps inside ``step_workspace()``: the arrays
-one step records and the buffers its backward pass works in then come
-from memory the workspace keeps, and ``reset_tape()`` hands them back for
-the next step instead of freeing them.
+A training loop may run its steps inside ``step_workspace()``: every
+array one step computes, and every buffer its backward pass works in,
+then comes from memory the workspace keeps, and ``reset_tape()`` hands
+them back for the next step instead of freeing them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -52,15 +51,16 @@ _RECORDING = [True]
 
 
 class _Workspace:
-    """Float64 buffers that one training loop's steps reuse.
+    """Float64 buffers that one training loop's steps, or one evaluation's chunks, reuse.
 
     Buffers are cut, 64-byte aligned, from one arena that is reserved once
     and whose pages are touched only as steps use them, so every step
-    finds last step's memory still mapped. A buffer handed back during the
-    step goes on a free list; a request takes the smallest free buffer that
-    holds it and is at most twice its size, else fresh arena. ``reset``
-    hands back everything at once. A step that outgrows the arena gets
-    plain arrays for the rest, and the next step a large enough arena.
+    finds last step's memory still mapped. A request takes the smallest
+    hole that holds it, else memory at the top. A buffer handed back
+    during the step becomes a hole, merged with the holes beside it; a
+    hole that reaches the top lowers the top instead. ``reset`` hands
+    back everything at once. A step that outgrows the arena gets plain
+    arrays for the rest, and the next step a large enough arena.
 
     The backward pass hands back each recorded op's arrays once its
     pullback has run (no earlier op's pullback reads them), and each of its
@@ -72,11 +72,12 @@ class _Workspace:
 
     def __init__(self) -> None:
         self.arena = np.empty(self.RESERVE)
-        self.top = 0    # arena elements handed out this step
-        self.need = 0   # elements this step asked the arena for, whether it had room or not
-        self.free: dict[int, list[Array]] = {}  # size -> flat buffers handed back
-        self.sizes: list[int] = []        # sorted keys of free
-        self.lent: dict[int, tuple[Array, Array]] = {}  # id -> (buffer out, the flat buffer it views)
+        self.top = 0    # arena elements below the highest buffer lent this step
+        self.need = 0   # this step's high-water mark, counting what the arena had no room for
+        self.spill = 0  # elements lent as plain arrays because the arena was full
+        self.holes: dict[int, int] = {}   # start -> end of each hole below the top
+        self.starts: dict[int, int] = {}  # end -> start of the same holes
+        self.lent: dict[int, tuple[Array, int, int]] = {}  # id -> (buffer, its offset or -1, its length)
         self.log: list[Array] = []        # buffers handed out this step, in order
         self.ends: list[int] = []         # len(log) when each tape entry was recorded
         self.refs: dict[int, int] = {}    # id -> stored adjoints living in the buffer
@@ -84,33 +85,49 @@ class _Workspace:
 
     def take(self, shape: tuple[int, ...]) -> Array:
         n = math.prod(shape)
-        i = bisect.bisect_left(self.sizes, n)
-        if i < len(self.sizes) and self.sizes[i] <= 2 * n:
-            stack = self.free[self.sizes[i]]
-            flat = stack.pop()
-            if not stack:
-                del self.free[self.sizes.pop(i)]
+        size = -(-n // 8) * 8
+        fits = [(end - start, start) for start, end in self.holes.items() if end - start >= size]
+        if fits:
+            start = min(fits)[1]
+            end = self.holes.pop(start)
+            del self.starts[end]
+            if start + size < end:
+                self.holes[start + size] = end
+                self.starts[end] = start + size
+        elif self.top + size <= self.arena.size:
+            start = self.top
+            self.top += size
         else:
-            self.need += -(-n // 8) * 8
-            if self.need <= self.arena.size:
-                flat = self.arena[self.top:self.top + n]
-                self.top = self.need
-            else:
-                flat = np.empty(n)
-        buf = flat[:n].reshape(shape)
-        self.lent[id(buf)] = (buf, flat)
+            start = -1
+            self.spill += size
+        self.need = max(self.need, self.top + self.spill)
+        buf = np.empty(shape) if start < 0 else self.arena[start:start + n].reshape(shape)
+        self.lent[id(buf)] = (buf, start, size)
         self.log.append(buf)
         return buf
 
     def give(self, buf: Array) -> None:
         held = self.lent.pop(id(buf), None)
-        if held is not None:
-            flat = held[1]
-            if _POISON:
-                flat.fill(np.nan)
-            if flat.size not in self.free:
-                bisect.insort(self.sizes, flat.size)
-            self.free.setdefault(flat.size, []).append(flat)
+        if held is None:
+            return
+        if _POISON:
+            buf.fill(np.nan)
+        _, start, size = held
+        if start < 0:
+            self.spill -= size
+            return
+        end = start + size
+        if start in self.starts:
+            start = self.starts.pop(start)
+            del self.holes[start]
+        if end in self.holes:
+            del self.starts[self.holes[end]]
+            end = self.holes.pop(end)
+        if end == self.top:
+            self.top = start
+        else:
+            self.holes[start] = end
+            self.starts[end] = start
 
     def exclusive(self, g: Array) -> bool:
         """Whether ``g`` is a buffer of this workspace that no stored adjoint uses."""
@@ -118,13 +135,13 @@ class _Workspace:
 
     def reset(self) -> None:
         if _POISON:
-            for _, flat in self.lent.values():
-                flat.fill(np.nan)
+            for buf, _, _ in self.lent.values():
+                buf.fill(np.nan)
         if self.need > self.arena.size:
             self.arena = np.empty(self.need)
-        self.top = self.need = 0
-        self.free.clear()
-        self.sizes.clear()
+        self.top = self.need = self.spill = 0
+        self.holes.clear()
+        self.starts.clear()
         self.lent.clear()
         self.log.clear()
         self.ends.clear()
@@ -175,33 +192,33 @@ _POISON = False  # tests set it: every buffer handed back is filled with NaN
 
 @contextmanager
 def step_workspace():
-    """Run a training loop's steps on reused buffers (see ``_Workspace``).
+    """Run a training loop's steps, or an evaluation's chunks, on reused buffers.
 
-    Inside, an array the previous step recorded is reused by the next one:
-    no tensor may be used after the ``reset_tape()`` that ends its step.
+    Inside, every op takes its arrays from the workspace (see
+    ``_Workspace``), and an array of one step is reused by the next: no
+    tensor may be used after the ``reset_tape()`` (or ``reset()`` of the
+    yielded workspace) that ends its step. On exit the workspace it
+    replaced, if any, is active again.
     """
     global _WORKSPACE
-    _WORKSPACE = _Workspace()
+    outer, _WORKSPACE = _WORKSPACE, _Workspace()
     try:
-        yield
+        yield _WORKSPACE
     finally:
-        _WORKSPACE = None
+        _WORKSPACE = outer
 
 
-def _alloc(inputs: tuple["Tensor", ...]):
-    """Allocator for the arrays an op keeps: the workspace's when the op is recorded."""
-    if _WORKSPACE is not None and _RECORDING[-1] and any(t.requires_grad for t in inputs):
-        return _WORKSPACE.take
-    return np.empty
+def _recorded(inputs: tuple["Tensor", ...]) -> bool:
+    return _RECORDING[-1] and any(t.requires_grad for t in inputs)
 
 
-def _scratch(shape: tuple[int, ...]) -> Array:
-    """A buffer for the backward pass, from the workspace when there is one."""
+def _empty(shape: tuple[int, ...]) -> Array:
+    """An uninitialised buffer, from the workspace while one is active."""
     return np.empty(shape) if _WORKSPACE is None else _WORKSPACE.take(shape)
 
 
 def _zeros(shape: tuple[int, ...]) -> Array:
-    buf = _scratch(shape)
+    buf = _empty(shape)
     buf.fill(0.0)
     return buf
 
@@ -211,6 +228,30 @@ def _release(*bufs: Array) -> None:
     if _WORKSPACE is not None:
         for buf in bufs:
             _WORKSPACE.give(buf)
+
+
+def workspace_mark() -> int:
+    """Where the active workspace's step stands, for ``release_since``."""
+    return 0 if _WORKSPACE is None else len(_WORKSPACE.log)
+
+
+def release_since(mark: int, keep: Tensor) -> None:
+    """Hand back every buffer taken since ``mark`` but ``keep``'s, when ``keep`` is unrecorded.
+
+    For a caller whose ops since ``mark`` all led to ``keep``: then none
+    of them was recorded either, and once ``keep`` exists nothing reads
+    their arrays.
+    """
+    if _WORKSPACE is not None and not keep.requires_grad:
+        for buf in _WORKSPACE.log[mark:]:
+            if not np.may_share_memory(buf, keep.data):
+                _WORKSPACE.give(buf)
+
+
+def release(t: Tensor) -> None:
+    """Hand an unrecorded tensor's array back once its caller and every pullback are done with it."""
+    if not t.requires_grad:
+        _release(t.data)
 
 
 def active_tape() -> GradTape:
@@ -335,7 +376,7 @@ def _coerce(x) -> Tensor:
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: Array, pullback: Pullback) -> Tensor:
-    if _RECORDING[-1] and any(t.requires_grad for t in inputs):
+    if _recorded(inputs):
         out = Tensor(out_data, requires_grad=True)
         _TAPE.record(out, inputs, pullback)
         if _WORKSPACE is not None:
@@ -369,7 +410,7 @@ def _unbroadcast(g: Array | None, shape: tuple[int, ...]) -> Array | None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("add", a, b)
-    out = np.add(a.data, b.data, out=_alloc((a, b))(max(a.shape, b.shape, key=len)))
+    out = np.add(a.data, b.data, out=_empty(max(a.shape, b.shape, key=len)))
 
     def pullback(g):
         ga = _unbroadcast(g, a.shape) if a.requires_grad else None
@@ -504,9 +545,24 @@ def sigmoid(a: Tensor) -> Tensor:
 # expression it stands for computed, so the bytes are the same.
 
 
+def _row_max(x: Array) -> Array:
+    """``x.max(axis=-1, keepdims=True)``, as a running maximum over the columns.
+
+    On short rows that is several times faster than the reduction, and a
+    maximum is exact in any order. Of two tied zeros it may pick the other
+    sign, which ``_softmax`` loses in ``exp``.
+    """
+    if x.shape[-1] < 2:
+        return x.max(axis=-1, keepdims=True)
+    top = np.maximum(x[..., 0:1], x[..., 1:2])
+    for j in range(2, x.shape[-1]):
+        np.maximum(top, x[..., j:j + 1], out=top)
+    return top
+
+
 def _softmax(x: Array, out: Array | None = None) -> Array:
     """``exp(x - max) / sum`` over the last axis."""
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(x, _row_max(x), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -640,7 +696,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             )
     sizes = [t.shape[ax] for t in tensors]
     base[ax] = sum(sizes)
-    out = np.concatenate([t.data for t in tensors], axis=ax, out=_alloc(tuple(tensors))(tuple(base)))
+    out = np.concatenate([t.data for t in tensors], axis=ax, out=_empty(tuple(base)))
     offsets = np.cumsum([0] + sizes)
 
     def pullback(g):
@@ -666,7 +722,7 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[ax] = slice(start, stop)
     index = tuple(index)
-    out = _alloc((a,))(a.shape[:ax] + (stop - start,) + a.shape[ax + 1:])
+    out = _empty(a.shape[:ax] + (stop - start,) + a.shape[ax + 1:])
     out[...] = a.data[index]
 
     def pullback(g):
@@ -683,7 +739,7 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
     """Replicate a tensor across a new leading batch axis of length ``n``."""
     if n < 1:
         raise ValueError(f"expand_leading: batch size must be positive, got {n}")
-    out = _alloc((a,))((n,) + a.shape)
+    out = _empty((n,) + a.shape)
     out[...] = a.data
 
     def pullback(g):
@@ -720,13 +776,13 @@ def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None
     wt = np.swapaxes(w, -1, -2)
     rows = shape[-2]
     if pad_rows is None or pad_rows == rows:
-        return np.matmul(g, wt, out=_scratch(shape))
+        return np.matmul(g, wt, out=_empty(shape))
     lead = shape[:-2]
-    padded = _scratch(lead + (pad_rows, g.shape[-1]))
+    padded = _empty(lead + (pad_rows, g.shape[-1]))
     padded[..., :rows, :] = g
     padded[..., rows:, :] = 0.0
-    full = np.matmul(padded, wt, out=_scratch(lead + (pad_rows, shape[-1])))
-    gx = _scratch(shape)
+    full = np.matmul(padded, wt, out=_empty(lead + (pad_rows, shape[-1])))
+    gx = _empty(shape)
     gx[...] = full[..., :rows, :]
     _release(padded, full)
     return gx
@@ -755,7 +811,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         if residual.shape != shape:
             raise ValueError(f"linear: residual {residual.shape} does not match output {shape}")
         inputs += (residual,)
-    out = np.matmul(x.data, w.data, out=_alloc(inputs)(shape))
+    out = np.matmul(x.data, w.data, out=_empty(shape))
     out += b.data
     if residual is not None:
         out += residual.data
@@ -765,12 +821,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     def pullback(g):
         if relu:  # masked in place when backward holds the only use of g
             mine = _WORKSPACE is not None and _WORKSPACE.exclusive(g)
-            g = np.multiply(g, out > 0.0, out=g if mine else _scratch(g.shape))
+            g = np.multiply(g, out > 0.0, out=g if mine else _empty(g.shape))
         gx = _input_grad(g, w.data, x.shape, pad_rows) if x.requires_grad else None
         gw = None
         if w.requires_grad:
             xt = np.swapaxes(x.data, -1, -2)
-            gw = _unbroadcast(np.matmul(xt, g, out=_scratch(x.shape[:-2] + w.shape)), w.shape)
+            gw = _unbroadcast(np.matmul(xt, g, out=_empty(x.shape[:-2] + w.shape)), w.shape)
         gb = _unbroadcast(g, b.shape) if b.requires_grad else None
         if residual is None:
             return gx, gw, gb
@@ -786,17 +842,18 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
             f"layer_norm_affine: gamma {gamma.shape} and beta {beta.shape} must both be "
             f"the last axis of {a.shape}"
         )
-    new = _alloc((a, gamma, beta))
-    out = new(a.shape)
-    norm, inv = _normalize(a.data, eps, out=new(a.shape), scratch=out)
+    out = _empty(a.shape)
+    norm, inv = _normalize(a.data, eps, out=_empty(a.shape), scratch=out)
     np.multiply(norm, gamma.data, out=out)
     out += beta.data
+    if not _recorded((a, gamma, beta)):
+        _release(norm)  # only the pullback reads it
 
     def pullback(g):
         ga = gg = None
-        tmp = _scratch(a.shape)
+        tmp = _empty(a.shape)
         if a.requires_grad:
-            ga = np.multiply(g, gamma.data, out=_scratch(a.shape))
+            ga = np.multiply(g, gamma.data, out=_empty(a.shape))
             _normalize_pullback(ga, norm, inv, into=ga, scratch=tmp)
         if gamma.requires_grad:
             gg = _unbroadcast(np.multiply(g, norm, out=tmp), gamma.shape)
@@ -841,46 +898,47 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         """The (..., heads, rows, dh) view of a (..., rows, d) array."""
         return np.swapaxes(a.reshape(a.shape[:-1] + (heads, dh)), -2, -3)
 
-    def keys_t(new) -> Array:
+    def keys_t() -> Array:
         # rebuilt in the pullback, not kept
-        kt = new(head_t)
+        kt = _empty(head_t)
         kt[...] = np.swapaxes(split(k.data), -1, -2)
         return kt
 
     qh, vh = split(q.data), split(v.data)
     if dh == 1:  # one-feature heads are vectors to BLAS, whose bits depend on their stride
         qh, vh = qh.copy(), vh.copy()
-    new = _alloc((q, k, v))
-    kt = keys_t(new)
-    attn = np.matmul(qh, kt, out=new(scores))
+    kt = keys_t()
+    attn = np.matmul(qh, kt, out=_empty(scores))
     _release(kt)
     del kt  # a plain array is freed here, so that the output may reuse its memory
     attn *= scale
     _softmax(attn, out=attn)
-    out = new(q.shape)
+    out = _empty(q.shape)
     np.matmul(attn, vh, out=split(out))
+    if not _recorded((q, k, v)):
+        _release(attn)  # only the pullback reads it
 
     def pullback(g):
         go = split(g)
         gq = gk = gv = None
         if v.requires_grad:
-            gv = _scratch(v.shape)
+            gv = _empty(v.shape)
             np.matmul(np.swapaxes(attn, -1, -2), go, out=split(gv))
         if q.requires_grad or k.requires_grad:
-            gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_scratch(scores))
-            tmp = _scratch(scores)
+            gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_empty(scores))
+            tmp = _empty(scores)
             _softmax_pullback(gs, attn, into=gs, scratch=tmp)
             _release(tmp)  # before the buffers below are taken, so that they may reuse it
             gs *= scale
-            kt = keys_t(_scratch)
+            kt = keys_t()
             if q.requires_grad:
-                gq = _scratch(q.shape)
+                gq = _empty(q.shape)
                 np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq))
             if k.requires_grad:
                 np.matmul(np.swapaxes(qh, -1, -2), gs, out=kt)
             _release(gs)  # before gk is taken, so that it may reuse it
             if k.requires_grad:
-                gk = _scratch(k.shape)
+                gk = _empty(k.shape)
                 split(gk)[...] = np.swapaxes(kt, -1, -2)
             _release(kt)
         if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
@@ -977,7 +1035,7 @@ def backward(root: Tensor) -> None:
                 if acc is None:
                     owner = None if ws is None else ws.owner(gt, g, g_owner, mark)
                 else:
-                    gt = owner = np.add(acc[0], gt, out=_scratch(gt.shape))
+                    gt = owner = np.add(acc[0], gt, out=_empty(gt.shape))
                     if ws is not None:
                         ws.drop(acc[1])
                         done.append(acc[1])

@@ -24,6 +24,9 @@ from .tensor import (
     linear,
     multi_head_attention,
     narrow,
+    release,
+    release_since,
+    workspace_mark,
 )
 
 MLP_RATIO = 4
@@ -226,8 +229,9 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
     full path runs.
     """
     cfg = params.config
-    x = patchify(images, params)
     stack = None if prompt_pool is None else prompt_pool.stacked()
+    mark = workspace_mark()
+    x = patchify(images, params)
     n = 0 if stack is None else stack.shape[0]
     if n and stack.shape[-1] != cfg.embed_dim:
         raise ValueError(
@@ -235,14 +239,21 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         )
     adapter_layers = {} if adapters is None else adapters.layers
 
+    # An unrecorded block hands its arrays back to the step workspace as
+    # soon as its output exists, and an unrecorded prefix output once the
+    # concat (whose pullback reads no input) has copied it.
     for layer in range(1, cfg.prompt_layer + 1):
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
+        release_since(mark, x)
     if n:
-        x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
+        prefix = x
+        x = concat([expand_leading(stack, x.shape[0]), prefix], axis=-2)
+        release(prefix)
     prompts_only = not patch_rows and n >= 2
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
         rows = n if prompts_only and layer == cfg.layers else None
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=rows)
+        release_since(mark, x)
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
     if prompts_only:
         return x, None

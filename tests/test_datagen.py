@@ -163,6 +163,18 @@ def test_load_rejects_truncated_sample(tmp_path):
     assert "0003.sample" in str(exc.value)
 
 
+def test_load_names_the_file_with_a_label_byte_outside_0_1(tmp_path):
+    generate_dataset(small_spec(), seed=8, out_dir=str(tmp_path))
+    n_train = len(os.listdir(tmp_path / "train"))
+    victim = tmp_path / "train" / f"{n_train // 2:04d}.sample"
+    blob = bytearray(victim.read_bytes())
+    blob[-3] = 2
+    victim.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as exc:
+        load_dataset(str(tmp_path))
+    assert str(exc.value) == f"load_dataset: sample file {victim} has label bytes outside 0/1"
+
+
 def test_load_rejects_content_tampering(tmp_path):
     generate_dataset(small_spec(), seed=8, out_dir=str(tmp_path))
     victim = tmp_path / "test" / "0001.sample"

@@ -58,6 +58,36 @@ def test_softmax_uniform_and_shift_invariance():
     assert np.allclose(shifted.data, plain.data, atol=1e-12)
 
 
+def test_softmax_row_max_gives_the_bytes_of_the_max_reduction():
+    # _softmax takes each row's max by a running maximum over the columns;
+    # it must give every byte that the literal reduction gives, with tied
+    # zeros of either sign, infinities and NaNs in the rows.
+    def literal(x):
+        e = x - x.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
+
+    r = np.random.default_rng(0)
+    for cols in range(1, 65):
+        x = r.normal(size=(4, 9, cols))
+        x[:, 0] = r.choice([0.0, -0.0], size=cols)  # a tie of signed zeros at the max
+        x[:, 1] = -np.abs(x[:, 1])
+        x[:, 1, r.permutation(cols)[:2]] = r.choice([0.0, -0.0], size=min(2, cols))
+        x[:, 2, r.integers(cols)] = -np.inf
+        x[:, 3] = -np.inf
+        x[:, 4, r.integers(cols)] = np.nan
+        x[:, 5] = np.nan
+        x[:, 6, r.integers(cols)] = np.inf
+        x[:, 7] = 3.0  # an exact tie of the whole row
+        with np.errstate(invalid="ignore"):
+            want = literal(x).tobytes()
+            got = [tensor._softmax(x).tobytes(), tensor._softmax(x, out=x.copy()).tobytes()]
+            into = x.copy()
+            got.append(tensor._softmax(into, out=into).tobytes())
+        assert got == [want] * 3, f"{cols} columns"
+
+
 def test_log_softmax_gradient_hand_value():
     # d/dx log softmax(x)[0] at x = (0, 0) is (1 - 1/2, -1/2) = (0.5, -0.5).
     x = t([0.0, 0.0])

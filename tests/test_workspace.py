@@ -23,10 +23,19 @@ import test_training
 from promptcl import ModelConfig, RunConfig, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import mask_to_task
-from promptcl.model import build_model, named_params
+from promptcl.model import build_model, forward_logits, named_params, predict_probs
 from promptcl.prompts import add_class_prompts, freeze_previous
 from promptcl.protocol import build_task_stream
-from promptcl.tensor import Tensor, active_tape, backward, linear, reset_tape, step_workspace
+from promptcl.tensor import (
+    Tensor,
+    active_tape,
+    backward,
+    linear,
+    no_grad,
+    reset_tape,
+    stable_sigmoid,
+    step_workspace,
+)
 from test_training import micro_config, micro_dataset
 
 
@@ -134,6 +143,74 @@ def test_backward_replays_a_step_only_once_inside_the_workspace():
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
+def test_handed_back_neighbours_merge_and_lower_the_top():
+    ws = tensor._Workspace()
+    a, b, c = (ws.take((10,)) for _ in range(3))  # 16 elements each, 64-byte aligned
+    ws.give(a)
+    ws.give(b)  # one 32-element hole below c
+    d = ws.take((30,))
+    assert np.may_share_memory(d, a) and np.may_share_memory(d, b)
+    assert ws.top == 48
+    ws.give(c)  # the top comes down to the end of d
+    assert ws.top == 32
+    ws.give(d)
+    assert (ws.top, ws.holes, ws.need) == (0, {}, 48)
+
+
+def test_a_step_that_outgrows_the_arena_gets_a_large_enough_one_next(monkeypatch):
+    monkeypatch.setattr(tensor._Workspace, "RESERVE", 64)
+    ws = tensor._Workspace()
+    inside, spilled = ws.take((6, 8)), ws.take((6, 8))
+    assert np.may_share_memory(inside, ws.arena) and not np.may_share_memory(spilled, ws.arena)
+    assert ws.need == 96
+    ws.reset()
+    assert all(np.may_share_memory(ws.take((6, 8)), ws.arena) for _ in range(2))
+
+
+def test_a_nested_workspace_gives_the_outer_one_back_on_exit():
+    with step_workspace():
+        outer = tensor._WORKSPACE
+        with step_workspace():
+            assert tensor._WORKSPACE is not outer
+        assert tensor._WORKSPACE is outer
+    assert tensor._WORKSPACE is None
+
+
+def eval_model(n_classes):
+    state = build_model(ModelConfig())
+    add_class_prompts(state.pool, state.bank, list(range(n_classes)), stage=1)
+    r = np.random.default_rng(n_classes)
+    for t in named_params(state).values():  # heads and adapters start at zero
+        t.data = t.data + 0.1 * r.normal(size=t.shape)
+    return state, r.normal(size=(70, 16, 16))
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["plain", "poisoned"])
+@pytest.mark.parametrize("n_classes", [1, 5])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_predict_probs_in_its_workspace_gives_the_bytes_of_plain_chunks(monkeypatch, poison, n_classes, batch):
+    monkeypatch.setattr(tensor, "_POISON", poison)
+    state, images = eval_model(n_classes)
+    with no_grad():
+        plain = [stable_sigmoid(forward_logits(state, images[s:s + batch]).data)
+                 for s in range(0, len(images), batch)]
+    assert predict_probs(state, images, batch_size=batch).tobytes() == np.concatenate(plain).tobytes()
+
+
+def test_predict_probs_inside_a_step_leaves_the_step_intact(monkeypatch):
+    monkeypatch.setattr(tensor, "_POISON", True)
+    state, images = eval_model(5)
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    with step_workspace():
+        y = linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+        probs = predict_probs(state, images, batch_size=32)
+        assert np.array_equal(y.data, np.full((4, 2), 3.0))
+        backward(y.sum())
+        reset_tape()
+    assert np.isfinite(probs).all()
+    assert np.array_equal(x.grad, np.full((4, 3), 2.0))
+
+
 def test_fit_drops_the_workspace_when_it_returns_or_raises():
     ds = micro_dataset()
     cfg = micro_config(epochs=1)
@@ -201,15 +278,66 @@ json.dump({"n": int(task.train_indices.size), "faults": faults}, sys.stdout)
 """
 
 
+def run_probe(source):
+    """Run ``source`` in a fresh process without allocator tuning, one BLAS thread and no huge pages."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES", "LD_PRELOAD"))}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", NUMPY_MADVISE_HUGEPAGE="0")
+    proc = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_steady_training_steps_stay_under_the_page_fault_budget():
     # The loop without the workspace faulted 3,900-4,700 pages in per
     # steady step of this stage; the budget is a quarter of the low end.
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES", "LD_PRELOAD"))}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", NUMPY_MADVISE_HUGEPAGE="0")
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True,
-                          timeout=300, check=True)
-    probe = json.loads(proc.stdout)
+    probe = run_probe(FAULT_PROBE)
     steps = np.diff(probe["faults"])  # faults between the starts of consecutive steps
     steady = steps[len(steps) // 4:]
     assert probe["n"] > 64 and len(steady) >= 15
     assert statistics.median(steady) < 3900 / 4, steps.tolist()
+
+
+STAGES_PROBE = """
+import json, resource, sys
+from promptcl import ModelConfig, RunConfig, SyntheticSpec, generate_dataset, run_benchmark, training
+
+stages, evals = [], []
+reset_tape, train_stage, evaluate_session = training.reset_tape, training.train_stage, training.evaluate_session
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def counted_reset():
+    stages[-1].append(faults())
+    reset_tape()
+
+def marked_stage(*args, **kwargs):
+    stages.append([])
+    return train_stage(*args, **kwargs)
+
+def counted_evaluation(*args, **kwargs):
+    before = faults()
+    out = evaluate_session(*args, **kwargs)
+    evals.append(faults() - before)
+    return out
+
+training.reset_tape, training.train_stage = counted_reset, marked_stage
+training.evaluate_session = counted_evaluation
+cfg = RunConfig(model=ModelConfig(), batch_size=64, base_classes=4, inc_classes=4, epochs=4)
+run_benchmark(cfg, generate_dataset(SyntheticSpec(), 1))
+json.dump({"stages": stages, "evals": evals}, sys.stdout)
+"""
+
+
+def test_steady_steps_of_every_desk_stage_fault_no_pages_in():
+    # Before every array of a step came from the workspace, the steady
+    # steps of the three stages faulted 416, 416 and 0 pages in (which
+    # stage churns depends on glibc's dynamic thresholds, which the
+    # evaluations between the stages move), and each evaluation about 5,000.
+    probe = run_probe(STAGES_PROBE)
+    assert len(probe["stages"]) == 3 and len(probe["evals"]) == 3
+    for stage in probe["stages"]:
+        steps = np.diff(stage)  # a step's faults, the first step's arena included
+        steady = steps[len(steps) // 4:]
+        assert len(steady) >= 15
+        assert statistics.median(steady) <= 8, steps.tolist()
