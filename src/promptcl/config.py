@@ -71,22 +71,26 @@ def _strip_inline_comment(line: str) -> str:
 
 def parse_config_file(path) -> dict:
     values = default_config()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _strip_inline_comment(raw.strip())
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in SCHEMA:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            convert = SCHEMA[key][0]
-            try:
-                values[key] = convert(value)
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: bad value for {key}: {err}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = _strip_inline_comment(raw.strip())
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in SCHEMA:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        convert = SCHEMA[key][0]
+        try:
+            values[key] = convert(value)
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: bad value for {key}: {err}") from None
     return values
 
 

@@ -302,23 +302,30 @@ def load_dataset(path: str) -> Dataset:
     if not os.path.isfile(manifest):
         raise ValueError(f"load_dataset: no manifest.txt under {path}")
     fields: dict[str, str] = {}
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            if not value:
-                raise ValueError(f"{manifest}: line {lineno}: expected 'key value'")
-            fields[key] = value
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{manifest}: not UTF-8 text: {err}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        if not value:
+            raise ValueError(f"{manifest}: line {lineno}: expected 'key value'")
+        fields[key] = value
     required = ("n_classes", "image_side", "n_train", "n_test", "classes", "spec_hash")
     missing = [k for k in required if k not in fields]
     if missing:
         raise ValueError(f"{manifest}: missing required fields {missing}")
-    n_classes = int(fields["n_classes"])
-    side = int(fields["image_side"])
-    n_train = int(fields["n_train"])
-    n_test = int(fields["n_test"])
+    counts = {}
+    for key in ("n_classes", "image_side", "n_train", "n_test"):
+        try:
+            counts[key] = int(fields[key])
+        except ValueError:
+            raise ValueError(f"{manifest}: {key} must be an integer, got {fields[key]!r}") from None
+    n_classes, side, n_train, n_test = counts.values()
     names = fields["classes"].split(",")
     if len(names) != n_classes:
         raise ValueError(f"{manifest}: lists {len(names)} class names for n_classes {n_classes}")

@@ -57,7 +57,8 @@ def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 6
     """Sigmoid probabilities for a (B, H, W) batch, evaluated without recording to the tape.
 
     The chunks of ``batch_size`` images run one after another in one step
-    workspace of their own.
+    workspace of their own; each chunk is a step, so that a chunk that
+    outgrew the arena leaves the next one a large enough arena.
 
     The result has one column per class; no images give no rows.
     """
@@ -67,7 +68,7 @@ def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 6
     chunks = [np.empty((0, len(state.bank.class_ids if class_ids is None else class_ids)))]
     with no_grad(), step_workspace() as workspace:
         for start in range(0, arr.shape[0], batch_size):
-            logits = forward_logits(state, arr[start:start + batch_size], class_ids)
-            chunks.append(stable_sigmoid(logits.data))
-            workspace.reset()  # the next chunk reuses this one's buffers; no tape was recorded
+            images = arr[start:start + batch_size]
+            chunks.append(stable_sigmoid(forward_logits(state, images, class_ids).data))
+            workspace.reset()
     return np.concatenate(chunks, axis=0)

@@ -233,36 +233,40 @@ def load_semantic_embeddings(path) -> SemanticInit:
     vectors: dict[int, np.ndarray] = {}
     lines_seen: dict[int, int] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'class_id<TAB>values'")
-            try:
-                cid = int(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad class id {parts[0]!r}") from None
-            try:
-                vec = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparsable embedding values") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
-            if cid in vectors:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate class {cid} (first seen line {lines_seen[cid]})"
-                )
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: class {cid} has {vec.size} values, expected {dim}"
-                )
-            vectors[cid] = vec
-            lines_seen[cid] = lineno
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 'class_id<TAB>values'")
+        try:
+            cid = int(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad class id {parts[0]!r}") from None
+        try:
+            vec = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: unparsable embedding values") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
+        if cid in vectors:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate class {cid} (first seen line {lines_seen[cid]})"
+            )
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ValueError(
+                f"{path}: line {lineno}: class {cid} has {vec.size} values, expected {dim}"
+            )
+        vectors[cid] = vec
+        lines_seen[cid] = lineno
     if not vectors:
         raise ValueError(f"{path}: no embedding rows found")
     return SemanticInit(vectors=vectors, dim=int(dim))

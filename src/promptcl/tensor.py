@@ -8,13 +8,16 @@ fancier is rejected with an error naming the op and both shapes.
 
 A training loop may run its steps inside ``step_workspace()``: every
 array one step computes, and every buffer its backward pass works in,
-then comes from memory the workspace keeps, and ``reset_tape()`` hands
-them back for the next step instead of freeing them.
+then comes from memory the workspace keeps. An array goes back to the
+workspace, for later ops and steps to reuse, the moment nothing
+references it; the backward pass consumes the tape, so that each op's
+arrays go back as soon as its pullback has run.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -28,13 +31,13 @@ class GradTape:
     """Ordered record of executed primitives, replayed newest-first."""
 
     def __init__(self) -> None:
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Pullback]] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor | None, ...], Pullback]] = []
         self._produced: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, out: "Tensor", inputs: tuple["Tensor", ...], pullback: Pullback) -> None:
+    def record(self, out: "Tensor", inputs: tuple["Tensor | None", ...], pullback: Pullback) -> None:
         self._entries.append((out, inputs, pullback))
         self._produced.add(id(out))
 
@@ -56,31 +59,23 @@ class _Workspace:
     Buffers are cut, 64-byte aligned, from one arena that is reserved once
     and whose pages are touched only as steps use them, so every step
     finds last step's memory still mapped. A request takes the smallest
-    hole that holds it, else memory at the top. A buffer handed back
-    during the step becomes a hole, merged with the holes beside it; a
-    hole that reaches the top lowers the top instead. ``reset`` hands
-    back everything at once. A step that outgrows the arena gets plain
-    arrays for the rest, and the next step a large enough arena.
-
-    The backward pass hands back each recorded op's arrays once its
-    pullback has run (no earlier op's pullback reads them), and each of its
-    own buffers once no stored adjoint lives in it, so it works mostly in
-    memory the forward pass has finished with.
+    hole that holds it, else memory at the top. A buffer goes back the
+    moment nothing references it (no view, tensor, tape entry or closure):
+    it becomes a hole, merged with the holes beside it, and a hole that
+    reaches the top lowers the top instead. A step that outgrows the arena
+    gets plain arrays for the rest, and the next step a large enough arena.
     """
 
     RESERVE = 8 << 20  # elements (64 MB of address space, resident only where used)
 
     def __init__(self) -> None:
         self.arena = np.empty(self.RESERVE)
-        self.top = 0    # arena elements below the highest buffer lent this step
+        self.top = 0    # arena elements below the highest buffer lent
         self.need = 0   # this step's high-water mark, counting what the arena had no room for
         self.spill = 0  # elements lent as plain arrays because the arena was full
         self.holes: dict[int, int] = {}   # start -> end of each hole below the top
         self.starts: dict[int, int] = {}  # end -> start of the same holes
-        self.lent: dict[int, tuple[Array, int, int]] = {}  # id -> (buffer, its offset or -1, its length)
-        self.log: list[Array] = []        # buffers handed out this step, in order
-        self.ends: list[int] = []         # len(log) when each tape entry was recorded
-        self.refs: dict[int, int] = {}    # id -> stored adjoints living in the buffer
+        self.lent: dict[int, tuple] = {}  # id -> (weakref to a live buffer, its offset or -1, its length)
         self.replayed = False
 
     def take(self, shape: tuple[int, ...]) -> Array:
@@ -101,22 +96,21 @@ class _Workspace:
             start = -1
             self.spill += size
         self.need = max(self.need, self.top + self.spill)
-        buf = np.empty(shape) if start < 0 else self.arena[start:start + n].reshape(shape)
-        self.lent[id(buf)] = (buf, start, size)
-        self.log.append(buf)
-        return buf
+        # the base of every view of it, so that it lives exactly as long as they do
+        buf = np.empty(n) if start < 0 else np.frombuffer(self.arena.data, np.float64, n, 8 * start)
+        ref = weakref.ref(buf, self.give)
+        self.lent[id(ref)] = (ref, start, size)
+        return buf.reshape(shape)
 
-    def give(self, buf: Array) -> None:
-        held = self.lent.pop(id(buf), None)
-        if held is None:
-            return
-        if _POISON:
-            buf.fill(np.nan)
-        _, start, size = held
+    def give(self, ref: weakref.ref) -> None:
+        """Take back a buffer nothing references any more (a weakref callback: it must not raise)."""
+        _, start, size = self.lent.pop(id(ref))
         if start < 0:
             self.spill -= size
             return
         end = start + size
+        if _POISON:
+            self.arena[start:end] = math.nan
         if start in self.starts:
             start = self.starts.pop(start)
             del self.holes[start]
@@ -129,61 +123,19 @@ class _Workspace:
             self.holes[start] = end
             self.starts[end] = start
 
-    def exclusive(self, g: Array) -> bool:
-        """Whether ``g`` is a buffer of this workspace that no stored adjoint uses."""
-        return id(g) in self.lent and not self.refs.get(id(g))
-
     def reset(self) -> None:
-        if _POISON:
-            for buf, _, _ in self.lent.values():
-                buf.fill(np.nan)
+        """Begin a step: its high-water mark starts from what is still lent."""
         if self.need > self.arena.size:
             self.arena = np.empty(self.need)
-        self.top = self.need = self.spill = 0
-        self.holes.clear()
-        self.starts.clear()
-        self.lent.clear()
-        self.log.clear()
-        self.ends.clear()
-        self.refs.clear()
+            for key, (ref, start, size) in self.lent.items():  # what the old arena holds counts as spilled
+                if start >= 0:
+                    self.lent[key] = (ref, -1, size)
+                    self.spill += size
+            self.top = 0
+            self.holes.clear()
+            self.starts.clear()
+        self.need = self.top + self.spill
         self.replayed = False
-
-    def retire(self, entry: int) -> None:
-        """Hand back the arrays tape entry ``entry`` took in the forward pass."""
-        for buf in self.log[self.ends[entry - 1] if entry else 0:self.ends[entry]]:
-            self.give(buf)
-
-    # -- liveness of the backward pass's buffers --------------------------
-
-    def owner(self, gt: Array, g: Array, g_owner: Array | None, mark: int) -> Array | None:
-        """The lent buffer whose memory a pullback's result ``gt`` lies in, if any.
-
-        A pullback returns a buffer it took, a view of one, or its incoming
-        adjoint ``g`` or a view of it (``add``, ``concat``, ``reshape``);
-        ``mark`` is the length of ``log`` when it started.
-        """
-        if id(gt) in self.lent:
-            return gt
-        if g_owner is not None and np.may_share_memory(gt, g):
-            return g_owner
-        for buf in self.log[mark:]:
-            if np.may_share_memory(gt, buf):
-                return buf
-        return None
-
-    def hold(self, buf: Array | None) -> None:
-        if buf is not None:
-            self.refs[id(buf)] = self.refs.get(id(buf), 0) + 1
-
-    def drop(self, buf: Array | None) -> None:
-        if buf is not None:
-            self.refs[id(buf)] -= 1
-
-    def sweep(self, mark: int, *done: Array | None) -> None:
-        """Hand back the buffers taken since ``mark``, and ``done``, that no stored adjoint uses."""
-        for buf in (*self.log[mark:], *done):
-            if buf is not None and not self.refs.get(id(buf)):
-                self.give(buf)
 
 
 _WORKSPACE: _Workspace | None = None
@@ -195,21 +147,18 @@ def step_workspace():
     """Run a training loop's steps, or an evaluation's chunks, on reused buffers.
 
     Inside, every op takes its arrays from the workspace (see
-    ``_Workspace``), and an array of one step is reused by the next: no
-    tensor may be used after the ``reset_tape()`` (or ``reset()`` of the
-    yielded workspace) that ends its step. On exit the workspace it
-    replaced, if any, is active again.
+    ``_Workspace``), and each array goes back to it once nothing
+    references it, for a later op or step to reuse. A tensor held past
+    its step keeps its values. On exit the workspace it replaced, if any,
+    is active again.
     """
     global _WORKSPACE
     outer, _WORKSPACE = _WORKSPACE, _Workspace()
     try:
         yield _WORKSPACE
     finally:
+        _WORKSPACE.lent.clear()  # its callbacks refer back to it: let it go now
         _WORKSPACE = outer
-
-
-def _recorded(inputs: tuple["Tensor", ...]) -> bool:
-    return _RECORDING[-1] and any(t.requires_grad for t in inputs)
 
 
 def _empty(shape: tuple[int, ...]) -> Array:
@@ -221,37 +170,6 @@ def _zeros(shape: tuple[int, ...]) -> Array:
     buf = _empty(shape)
     buf.fill(0.0)
     return buf
-
-
-def _release(*bufs: Array) -> None:
-    """Hand finished temporaries back to the workspace before their step ends."""
-    if _WORKSPACE is not None:
-        for buf in bufs:
-            _WORKSPACE.give(buf)
-
-
-def workspace_mark() -> int:
-    """Where the active workspace's step stands, for ``release_since``."""
-    return 0 if _WORKSPACE is None else len(_WORKSPACE.log)
-
-
-def release_since(mark: int, keep: Tensor) -> None:
-    """Hand back every buffer taken since ``mark`` but ``keep``'s, when ``keep`` is unrecorded.
-
-    For a caller whose ops since ``mark`` all led to ``keep``: then none
-    of them was recorded either, and once ``keep`` exists nothing reads
-    their arrays.
-    """
-    if _WORKSPACE is not None and not keep.requires_grad:
-        for buf in _WORKSPACE.log[mark:]:
-            if not np.may_share_memory(buf, keep.data):
-                _WORKSPACE.give(buf)
-
-
-def release(t: Tensor) -> None:
-    """Hand an unrecorded tensor's array back once its caller and every pullback are done with it."""
-    if not t.requires_grad:
-        _release(t.data)
 
 
 def active_tape() -> GradTape:
@@ -376,11 +294,10 @@ def _coerce(x) -> Tensor:
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: Array, pullback: Pullback) -> Tensor:
-    if _recorded(inputs):
+    """The output tensor; recorded, with the inputs that take a gradient, when any does."""
+    if _RECORDING[-1] and any(t.requires_grad for t in inputs):
         out = Tensor(out_data, requires_grad=True)
-        _TAPE.record(out, inputs, pullback)
-        if _WORKSPACE is not None:
-            _WORKSPACE.ends.append(len(_WORKSPACE.log))
+        _TAPE.record(out, tuple(t if t.requires_grad else None for t in inputs), pullback)
         return out
     return Tensor(out_data)
 
@@ -698,11 +615,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     base[ax] = sum(sizes)
     out = np.concatenate([t.data for t in tensors], axis=ax, out=_empty(tuple(base)))
     offsets = np.cumsum([0] + sizes)
+    wanted = [t.requires_grad for t in tensors]  # not the tensors: an input without a gradient goes now
 
     def pullback(g):
         grads = []
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for want, start, stop in zip(wanted, offsets[:-1], offsets[1:]):
+            if want:
                 index = [slice(None)] * ndim
                 index[ax] = slice(int(start), int(stop))
                 grads.append(g[tuple(index)])
@@ -784,7 +702,6 @@ def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None
     full = np.matmul(padded, wt, out=_empty(lead + (pad_rows, shape[-1])))
     gx = _empty(shape)
     gx[...] = full[..., :rows, :]
-    _release(padded, full)
     return gx
 
 
@@ -819,9 +736,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         np.maximum(out, 0.0, out=out)
 
     def pullback(g):
-        if relu:  # masked in place when backward holds the only use of g
-            mine = _WORKSPACE is not None and _WORKSPACE.exclusive(g)
-            g = np.multiply(g, out > 0.0, out=g if mine else _empty(g.shape))
+        if relu:  # masked in place unless backward shares g (see there)
+            g = np.multiply(g, out > 0.0, out=g if g.flags.writeable else _empty(g.shape))
         gx = _input_grad(g, w.data, x.shape, pad_rows) if x.requires_grad else None
         gw = None
         if w.requires_grad:
@@ -846,8 +762,6 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     norm, inv = _normalize(a.data, eps, out=_empty(a.shape), scratch=out)
     np.multiply(norm, gamma.data, out=out)
     out += beta.data
-    if not _recorded((a, gamma, beta)):
-        _release(norm)  # only the pullback reads it
 
     def pullback(g):
         ga = gg = None
@@ -909,14 +823,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         qh, vh = qh.copy(), vh.copy()
     kt = keys_t()
     attn = np.matmul(qh, kt, out=_empty(scores))
-    _release(kt)
-    del kt  # a plain array is freed here, so that the output may reuse its memory
+    del kt  # handed back here, so that the output may reuse its memory
     attn *= scale
     _softmax(attn, out=attn)
     out = _empty(q.shape)
     np.matmul(attn, vh, out=split(out))
-    if not _recorded((q, k, v)):
-        _release(attn)  # only the pullback reads it
 
     def pullback(g):
         go = split(g)
@@ -928,7 +839,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_empty(scores))
             tmp = _empty(scores)
             _softmax_pullback(gs, attn, into=gs, scratch=tmp)
-            _release(tmp)  # before the buffers below are taken, so that they may reuse it
+            del tmp  # before the buffers below are taken, so that they may reuse it
             gs *= scale
             kt = keys_t()
             if q.requires_grad:
@@ -936,11 +847,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq))
             if k.requires_grad:
                 np.matmul(np.swapaxes(qh, -1, -2), gs, out=kt)
-            _release(gs)  # before gk is taken, so that it may reuse it
+            del gs  # before gk is taken, so that it may reuse it
             if k.requires_grad:
                 gk = _empty(k.shape)
                 split(gk)[...] = np.swapaxes(kt, -1, -2)
-            _release(kt)
         if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
             for grad in (gq, gk, gv):
                 if grad is not None:
@@ -1001,54 +911,51 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    The root must hold a single element. Repeating the call without
-    clearing grads accumulates again (the tape is replayed, not consumed),
-    except inside a step workspace, where the replay hands each op's arrays
-    back and a second call raises.
+    The root must hold a single element. Outside a step workspace the tape
+    is replayed, so a repeated call accumulates again. Inside one it is
+    consumed: each entry is dropped before its pullback runs, so that the
+    op's arrays go back once that has run, and a second call raises.
+
+    A pullback may overwrite its ``g`` exactly when ``g`` is writeable: a
+    returned ``g``, or a view of it, may serve several inputs, so it is
+    stored read-only.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
-    ws = _WORKSPACE
-    if ws is not None:
-        if ws.replayed or len(ws.ends) != len(_TAPE):
-            raise ValueError("backward: in a step workspace the tape is replayed once, "
-                             "after the reset_tape() that began the step (already replayed?)")
-        ws.replayed = True
-    # id(tensor) -> (adjoint, the workspace buffer it lives in or None)
-    adjoint: dict[int, tuple[Array, Array | None]] = {id(root): (np.ones_like(root.data), None)}
-    for i in range(len(_TAPE) - 1, -1, -1):
-        out, inputs, pullback = _TAPE._entries[i]
-        popped = adjoint.pop(id(out), None)
-        if popped is None:
-            if ws is not None:
-                ws.retire(i)
+    adjoint = {id(root): np.ones_like(root.data)}
+    if _WORKSPACE is None:
+        for entry in reversed(_TAPE._entries):
+            _pull(*entry, adjoint)
+        return
+    if _WORKSPACE.replayed:
+        raise ValueError("backward: in a step workspace the tape is replayed once, "
+                         "after the reset_tape() that began the step (already replayed?)")
+    _WORKSPACE.replayed = True
+    while _TAPE:
+        _pull(*_TAPE._entries.pop(), adjoint)
+
+
+def _pull(out: Tensor, inputs: tuple[Tensor | None, ...], pullback: Pullback,
+          adjoint: dict[int, Array]) -> None:
+    """Run one tape entry's pullback, if its output has an adjoint, and pass the results on."""
+    g = adjoint.pop(id(out), None)
+    if g is None:
+        return
+    for t, gt in zip(inputs, pullback(g)):
+        if gt is None:
             continue
-        g, g_owner = popped
-        if ws is not None:
-            ws.drop(g_owner)
-            mark, done = len(ws.log), [g_owner]
-        for t, gt in zip(inputs, pullback(g)):
-            if gt is None:
-                continue
-            if _TAPE.produced(t):
-                acc = adjoint.get(id(t))
-                if acc is None:
-                    owner = None if ws is None else ws.owner(gt, g, g_owner, mark)
-                else:
-                    gt = owner = np.add(acc[0], gt, out=_empty(gt.shape))
-                    if ws is not None:
-                        ws.drop(acc[1])
-                        done.append(acc[1])
-                adjoint[id(t)] = (gt, owner)
-                if ws is not None:
-                    ws.hold(owner)
-            elif t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                np.add(t.grad, gt, out=t.grad)
-        if ws is not None:
-            ws.retire(i)
-            ws.sweep(mark, *done)
+        if _TAPE.produced(t):
+            acc = adjoint.get(id(t))
+            if acc is not None:
+                gt = np.add(acc, gt, out=_empty(gt.shape))
+            elif np.may_share_memory(gt, g):
+                gt = gt.view()
+                gt.flags.writeable = False
+            adjoint[id(t)] = gt
+        elif t.requires_grad:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            np.add(t.grad, gt, out=t.grad)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

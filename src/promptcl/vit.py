@@ -24,9 +24,6 @@ from .tensor import (
     linear,
     multi_head_attention,
     narrow,
-    release,
-    release_since,
-    workspace_mark,
 )
 
 MLP_RATIO = 4
@@ -230,7 +227,6 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
     """
     cfg = params.config
     stack = None if prompt_pool is None else prompt_pool.stacked()
-    mark = workspace_mark()
     x = patchify(images, params)
     n = 0 if stack is None else stack.shape[0]
     if n and stack.shape[-1] != cfg.embed_dim:
@@ -239,21 +235,14 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         )
     adapter_layers = {} if adapters is None else adapters.layers
 
-    # An unrecorded block hands its arrays back to the step workspace as
-    # soon as its output exists, and an unrecorded prefix output once the
-    # concat (whose pullback reads no input) has copied it.
     for layer in range(1, cfg.prompt_layer + 1):
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
-        release_since(mark, x)
     if n:
-        prefix = x
-        x = concat([expand_leading(stack, x.shape[0]), prefix], axis=-2)
-        release(prefix)
+        x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
     prompts_only = not patch_rows and n >= 2
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
         rows = n if prompts_only and layer == cfg.layers else None
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=rows)
-        release_since(mark, x)
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
     if prompts_only:
         return x, None

@@ -8,13 +8,15 @@ or succeed with exactly the output of the intact file (a flipped zip
 timestamp, say, changes no content). Checkpoint arrays that disagree with
 the metadata or hold non-finite, non-numeric or pickled values, checkpoint
 metadata that is not UTF-8 JSON, configs and ``gen-data`` specs with
-degenerate sizes, negative noise or non-finite values, and JSON files that
+degenerate sizes, negative noise or non-finite values, text inputs that
+are not UTF-8 or hold a count that is not a number, and JSON files that
 are not reports (or whose nested values are broken) must fail the same way.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import zipfile
 
 import numpy as np
@@ -235,6 +237,35 @@ def test_degenerate_dataset_specs_give_one_error_line(tmp_path, flags, field):
     rc, stdout, err = run_cli(["gen-data", "--out", str(out), "--classes", "4", "--image-side", "8", *flags])
     assert_one_error_line(rc, stdout, err, f" {field} must be ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda text: b"# \xff\n" + text, "not UTF-8 text"),
+    (lambda text: text.replace(b"n_train 16", b"n_train x"), "n_train must be an integer, got 'x'"),
+], ids=["non-utf8", "bad-count"])
+def test_an_unreadable_dataset_manifest_is_named(dataset, tmp_path, edit, needle):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset[0].parents[1], data)
+    manifest = data / "manifest.txt"
+    manifest.write_bytes(edit(manifest.read_bytes()))
+    conf = tmp_path / "run.conf"
+    conf.write_text(RUN_CONF.format(dataset=data, out_dir=tmp_path / "runs"))
+    assert_one_error_line(*run_cli(["run", "--config", str(conf)]), f"{manifest}: {needle}")
+
+
+@pytest.mark.parametrize("semantic", [False, True], ids=["run-config", "embedding-table"])
+def test_a_text_input_that_is_not_utf8_is_named(dataset, tmp_path, semantic):
+    conf = tmp_path / "run.conf"
+    text = RUN_CONF.format(dataset=dataset[0].parents[1], out_dir=tmp_path / "runs").encode()
+    if semantic:
+        bad = tmp_path / "emb.tsv"
+        bad.write_bytes(b"0\t0.1,0.2\n\xff\n")
+        text += f"method = p2l_ca_plus\nsemantic_embeddings = {bad}\n".encode()
+    else:
+        bad = conf
+        text += b"# \xff\n"
+    conf.write_bytes(text)
+    assert_one_error_line(*run_cli(["run", "--config", str(conf)]), f"{bad}: not UTF-8 text")
 
 
 def real_report(dataset) -> dict:

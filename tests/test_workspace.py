@@ -1,10 +1,10 @@
-"""The step workspace: reused buffers change no bit, and a buffer used after its step shows.
+"""The step workspace: reused buffers change no bit, and a buffer goes back only when unreferenced.
 
 ``training._fit`` runs its steps in ``tensor.step_workspace()``. The
 workspace must give the same losses and parameters, to the byte, as the
 loop without it; with ``tensor._POISON`` set, every buffer it takes back
-is filled with NaN, so a tensor read after its buffer was recycled shows
-up as NaN instead of as plausible numbers.
+is filled with NaN, so a read of memory that was handed back too early
+shows up as NaN instead of as plausible numbers.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import pytest
 
 import test_tensor
 import test_training
+from helpers import reference_linear
 from promptcl import ModelConfig, RunConfig, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import mask_to_task
@@ -116,20 +117,50 @@ def test_fused_ops_stay_byte_identical_in_a_poisoned_workspace(monkeypatch, batc
                {k: None if g is None else g.tobytes() for k, g in p_grads.items()}
 
 
-def test_a_tensor_held_past_its_step_is_detected(monkeypatch):
+def test_a_tensor_held_past_its_step_keeps_its_values(monkeypatch):
     monkeypatch.setattr(tensor, "_POISON", True)
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
-    with step_workspace():
+    with step_workspace() as ws:
         held = linear(x, w, b)
-        assert np.array_equal(held.data, np.full((4, 2), 3.0))
+        address = held.data.ctypes.data
         reset_tape()
-        assert np.isnan(held.data).all()  # the step's buffers went back to the workspace
         again = linear(x, w, b)
-        assert np.shares_memory(held.data, again.data)  # ... and the next step reuses them
-    unpooled = linear(x, w, b)  # outside a workspace nothing is recycled
-    reset_tape()
-    assert np.array_equal(unpooled.data, np.full((4, 2), 3.0))
+        assert not np.shares_memory(held.data, again.data)  # the next step works around it
+        assert np.array_equal(held.data, np.full((4, 2), 3.0))
+        view = held.data[1:]
+        del held
+        reset_tape()
+        assert np.array_equal(view, np.full((3, 2), 3.0))  # a view keeps the buffer too
+        del view, again
+        reset_tape()
+        reused = ws.take((4, 2))  # once nothing references it, it goes back, poisoned
+        assert reused.ctypes.data == address and np.isnan(reused).all()
+
+
+def relu_linears(lin, case, x, w0, w1, b0, b1, c):
+    """A loss whose ReLU linears get an adjoint they must not mask in place."""
+    if case == "shared-by-add":  # one writeable g serves both summands
+        return ((lin(x, w0, b0, relu=True) + lin(x, w1, b1, relu=True)) * c).sum()
+    return lin(x, w0, b0, relu=True).sum()  # g is a read-only broadcast
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "poisoned-workspace"])
+@pytest.mark.parametrize("case", ["shared-by-add", "read-only-sum"])
+def test_a_relu_linear_leaves_a_shared_or_read_only_adjoint_alone(monkeypatch, case, pooled):
+    monkeypatch.setattr(tensor, "_POISON", True)
+    r = np.random.default_rng(3)
+    arrays = [r.normal(size=shape) for shape in [(2, 5, 4), (4, 3), (4, 3), (3,), (3,)]]
+    c = Tensor(r.normal(size=(5, 3)))
+    grads = []
+    for lin in (linear, reference_linear):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with step_workspace() if pooled and lin is linear else contextlib.nullcontext():
+            backward(relu_linears(lin, case, *leaves, c))
+            reset_tape()
+        grads.append([t.grad.tobytes() for t in leaves if t.grad is not None])
+    assert len(grads[0]) == (5 if case == "shared-by-add" else 3)
+    assert grads[0] == grads[1]
 
 
 def test_backward_replays_a_step_only_once_inside_the_workspace():
@@ -146,14 +177,16 @@ def test_backward_replays_a_step_only_once_inside_the_workspace():
 def test_handed_back_neighbours_merge_and_lower_the_top():
     ws = tensor._Workspace()
     a, b, c = (ws.take((10,)) for _ in range(3))  # 16 elements each, 64-byte aligned
-    ws.give(a)
-    ws.give(b)  # one 32-element hole below c
+    view = b[2:5]
+    del a, b  # b lives on in its view
+    assert (ws.top, ws.holes) == (48, {0: 16})
+    del view  # one 32-element hole below c
     d = ws.take((30,))
-    assert np.may_share_memory(d, a) and np.may_share_memory(d, b)
-    assert ws.top == 48
-    ws.give(c)  # the top comes down to the end of d
+    assert d.ctypes.data == ws.arena.ctypes.data
+    assert (ws.top, ws.holes) == (48, {})
+    del c  # the top comes down to the end of d
     assert ws.top == 32
-    ws.give(d)
+    del d
     assert (ws.top, ws.holes, ws.need) == (0, {}, 48)
 
 
@@ -232,9 +265,11 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
 
 
 def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch):
-    # 2,424,704 float64 elements (18.5 MiB): this step's high-water mark
-    # measured at commit f51be57, whose attention ran its heads one after
-    # another on contiguous per-head copies.
+    # 2,333,056 float64 elements (17.8 MiB): this step's high-water mark
+    # since the attention runs every head in one batched product (commit
+    # 82c995b). Keeping the frozen prefix alive until the concat's pullback
+    # (2,376,064) or never masking a ReLU adjoint in place (2,390,400)
+    # would exceed it.
     needs = []
 
     def recording_backward(root):
@@ -252,7 +287,7 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch):
     labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
     training._fit(state, images, labels, class_ids, mask, 1, cfg, (0, "workspace-need"))
     assert len(needs) == 1
-    assert needs[0] <= 2_424_704
+    assert needs[0] <= 2_333_056
 
 
 FAULT_PROBE = """
