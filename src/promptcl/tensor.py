@@ -6,10 +6,18 @@ broadcasting that is only allowed when one operand's shape is a trailing
 suffix of the other's (leading axes act as batch dimensions). Anything
 fancier is rejected with an error naming the op and both shapes.
 
+Each recorded op gets a key that is never given again, and its tape
+entry holds that key, each input's producer key (or, for an input no op
+on this tape produced, the tensor itself) and its pullback. A pullback
+holds only the arrays and flags it reads, never a tensor, and a ReLU
+keeps a one-byte mask instead of its output. So a recorded tensor lives
+only as long as its caller holds it, and its array only as long as a
+pullback will read it.
+
 A training loop may run its steps inside ``step_workspace()``: every
-array one step computes, and every buffer its backward pass works in,
-then comes from memory the workspace keeps. An array goes back to the
-workspace, for later ops and steps to reuse, the moment nothing
+array an op computes for one step, and every buffer its backward pass
+works in, then comes from memory the workspace keeps. An array goes back
+to the workspace, for later ops and steps to reuse, the moment nothing
 references it; the backward pass consumes the tape, so that each op's
 arrays go back as soon as its pullback has run.
 """
@@ -28,25 +36,33 @@ Pullback = Callable[[Array], tuple]
 
 
 class GradTape:
-    """Ordered record of executed primitives, replayed newest-first."""
+    """Ordered record of executed primitives, replayed newest-first.
+
+    An entry is ``(key, routes, pullback)``: the key given to the op's
+    output and, per input, the key of the entry that produced it, the
+    input itself when no entry on this tape did (a leaf, or a tensor
+    recorded before the last ``clear``), or None when it takes no gradient.
+    Keys are not ids: an output the caller dropped may die before the
+    backward pass, and a new tensor may then get its address.
+    """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[Tensor, tuple[Tensor | None, ...], Pullback]] = []
-        self._produced: set[int] = set()
+        self._entries: list[tuple[int, tuple[int | Tensor | None, ...], Pullback]] = []
+        self._next = self._first = 1  # the next key to give; keys from _first on are on the tape
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, out: "Tensor", inputs: tuple["Tensor | None", ...], pullback: Pullback) -> None:
-        self._entries.append((out, inputs, pullback))
-        self._produced.add(id(out))
-
-    def produced(self, t: "Tensor") -> bool:
-        return id(t) in self._produced
+    def record(self, out: "Tensor", inputs: tuple["Tensor", ...], pullback: Pullback) -> None:
+        routes = tuple(None if not t.requires_grad else t.key if t.key >= self._first else t
+                       for t in inputs)
+        out.key = self._next
+        self._next += 1
+        self._entries.append((out.key, routes, pullback))
 
     def clear(self) -> None:
         self._entries.clear()
-        self._produced.clear()
+        self._first = self._next
 
 
 _TAPE = GradTape()
@@ -78,9 +94,9 @@ class _Workspace:
         self.lent: dict[int, tuple] = {}  # id -> (weakref to a live buffer, its offset or -1, its length)
         self.replayed = False
 
-    def take(self, shape: tuple[int, ...]) -> Array:
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
         n = math.prod(shape)
-        size = -(-n // 8) * 8
+        size = -(-n * np.dtype(dtype).itemsize // 64) * 8
         fits = [(end - start, start) for start, end in self.holes.items() if end - start >= size]
         if fits:
             start = min(fits)[1]
@@ -97,7 +113,7 @@ class _Workspace:
             self.spill += size
         self.need = max(self.need, self.top + self.spill)
         # the base of every view of it, so that it lives exactly as long as they do
-        buf = np.empty(n) if start < 0 else np.frombuffer(self.arena.data, np.float64, n, 8 * start)
+        buf = np.empty(n, dtype) if start < 0 else np.frombuffer(self.arena.data, dtype, n, 8 * start)
         ref = weakref.ref(buf, self.give)
         self.lent[id(ref)] = (ref, start, size)
         return buf.reshape(shape)
@@ -161,9 +177,9 @@ def step_workspace():
         _WORKSPACE = outer
 
 
-def _empty(shape: tuple[int, ...]) -> Array:
+def _empty(shape: tuple[int, ...], dtype=np.float64) -> Array:
     """An uninitialised buffer, from the workspace while one is active."""
-    return np.empty(shape) if _WORKSPACE is None else _WORKSPACE.take(shape)
+    return np.empty(shape, dtype) if _WORKSPACE is None else _WORKSPACE.take(shape, dtype)
 
 
 def _zeros(shape: tuple[int, ...]) -> Array:
@@ -193,12 +209,13 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.key = 0  # set by the tape when an op records this tensor as its output
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -293,13 +310,23 @@ def _coerce(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _recorded(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` goes on the tape."""
+    return _RECORDING[-1] and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: tuple[Tensor, ...], out_data: Array, pullback: Pullback) -> Tensor:
-    """The output tensor; recorded, with the inputs that take a gradient, when any does."""
-    if _RECORDING[-1] and any(t.requires_grad for t in inputs):
+    """The output tensor; recorded, with its pullback, when any input takes a gradient."""
+    if _recorded(inputs):
         out = Tensor(out_data, requires_grad=True)
-        _TAPE.record(out, tuple(t if t.requires_grad else None for t in inputs), pullback)
+        _TAPE.record(out, inputs, pullback)
         return out
     return Tensor(out_data)
+
+
+def _grad_shape(t: Tensor) -> tuple[int, ...] | None:
+    """``t``'s shape when it takes a gradient, else None (a scalar's shape is the falsy ``()``)."""
+    return t.shape if t.requires_grad else None
 
 
 def _check_suffix_shapes(op: str, a: Tensor, b: Tensor) -> None:
@@ -314,9 +341,11 @@ def _check_suffix_shapes(op: str, a: Tensor, b: Tensor) -> None:
         )
 
 
-def _unbroadcast(g: Array | None, shape: tuple[int, ...]) -> Array | None:
-    """Sum a gradient over the leading batch axes it was broadcast across."""
-    if g is None or g.shape == shape:
+def _unbroadcast(g: Array, shape: tuple[int, ...] | None) -> Array | None:
+    """Sum a gradient over the leading batch axes it was broadcast across (None for no ``shape``)."""
+    if shape is None:
+        return None
+    if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     return g.sum(axis=tuple(range(extra)))
@@ -328,23 +357,17 @@ def _unbroadcast(g: Array | None, shape: tuple[int, ...]) -> Array | None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("add", a, b)
     out = np.add(a.data, b.data, out=_empty(max(a.shape, b.shape, key=len)))
-
-    def pullback(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record((a, b), out, pullback)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    return _record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("subtract", a, b)
     out = a.data - b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def pullback(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-        return ga, gb
+        return _unbroadcast(g, sa), (None if sb is None else _unbroadcast(-g, sb))
 
     return _record((a, b), out, pullback)
 
@@ -352,10 +375,13 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("multiply", a, b)
     out = a.data * b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ad = a.data if sb is not None else None
+    bd = b.data if sa is not None else None
 
     def pullback(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = None if sa is None else _unbroadcast(g * bd, sa)
+        gb = None if sb is None else _unbroadcast(g * ad, sb)
         return ga, gb
 
     return _record((a, b), out, pullback)
@@ -370,72 +396,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if pa != pb and pa != () and pb != ():
         raise ValueError(f"matmul: batch prefixes disagree for shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ad = a.data if sb is not None else None
+    bd = b.data if sa is not None else None
 
     def pullback(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = None if sa is None else _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
+        gb = None if sb is None else _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
     return _record((a, b), out, pullback)
 
 
 # -- elementwise unary ops --------------------------------------------
+#
+# Recorded only when ``a`` takes a gradient, so their pullbacks need not ask.
 
 
 def negate(a: Tensor) -> Tensor:
-    return _record((a,), -a.data, lambda g: (-g if a.requires_grad else None,))
+    return _record((a,), -a.data, lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _record((a,), out, lambda g: (g * out if a.requires_grad else None,))
+    return _record((a,), out, lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError(f"log: input contains non-positive values (min {a.data.min()!r})")
-    out = np.log(a.data)
-    return _record((a,), out, lambda g: (g / a.data if a.requires_grad else None,))
+    ad = a.data
+    return _record((a,), np.log(ad), lambda g: (g / ad,))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
-    out = a.data ** exponent
+    ad = a.data
+    out = ad ** exponent
 
     def pullback(g):
-        if not a.requires_grad:
-            return (None,)
         if exponent == 0.0:
-            return (np.zeros_like(a.data),)
-        return (g * exponent * a.data ** (exponent - 1.0),)
+            return (np.zeros_like(ad),)
+        return (g * exponent * ad ** (exponent - 1.0),)
 
     return _record((a,), out, pullback)
 
 
 def maximum(a: Tensor, floor: float) -> Tensor:
     floor = float(floor)
-    out = np.maximum(a.data, floor)
-
-    def pullback(g):
-        return (g * (a.data > floor) if a.requires_grad else None,)
-
-    return _record((a,), out, pullback)
+    ad = a.data
+    return _record((a,), np.maximum(ad, floor), lambda g: (g * (ad > floor),))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clamp: need lo < hi, got {lo} and {hi}")
-    out = np.clip(a.data, lo, hi)
-
-    def pullback(g):
-        if not a.requires_grad:
-            return (None,)
-        return (g * ((a.data > lo) & (a.data < hi)),)
-
-    return _record((a,), out, pullback)
+    ad = a.data
+    return _record((a,), np.clip(ad, lo, hi), lambda g: (g * ((ad > lo) & (ad < hi)),))
 
 
 def stable_sigmoid(x: Array) -> Array:
@@ -450,11 +467,7 @@ def stable_sigmoid(x: Array) -> Array:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = stable_sigmoid(a.data)
-
-    def pullback(g):
-        return (g * out * (1.0 - out) if a.requires_grad else None,)
-
-    return _record((a,), out, pullback)
+    return _record((a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 # The helpers below compute in place, into ``out`` or ``into`` when given
@@ -497,7 +510,7 @@ def _softmax_pullback(g: Array, out: Array, into: Array | None = None,
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, shift-stabilised."""
     out = _softmax(a.data)
-    return _record((a,), out, lambda g: (_softmax_pullback(g, out) if a.requires_grad else None,))
+    return _record((a,), out, lambda g: (_softmax_pullback(g, out),))
 
 
 def _normalize(x: Array, eps: float, out: Array | None = None,
@@ -525,7 +538,7 @@ def _normalize_pullback(g: Array, out: Array, inv: Array, into: Array | None = N
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean, unit variance (population)."""
     out, inv = _normalize(a.data, eps)
-    return _record((a,), out, lambda g: (_normalize_pullback(g, out, inv) if a.requires_grad else None,))
+    return _record((a,), out, lambda g: (_normalize_pullback(g, out, inv),))
 
 
 # -- reductions and shape ops -----------------------------------------
@@ -538,20 +551,19 @@ def _normalize_axis(op: str, axis: int, ndim: int) -> int:
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    shape = a.shape
     if axis is None:
         out = a.data.sum()
 
         def pullback(g):
-            return (np.broadcast_to(g, a.shape) if a.requires_grad else None,)
+            return (np.broadcast_to(g, shape),)
 
     else:
         ax = _normalize_axis("sum", axis, a.ndim)
         out = a.data.sum(axis=ax)
 
         def pullback(g):
-            if not a.requires_grad:
-                return (None,)
-            return (np.broadcast_to(np.expand_dims(g, ax), a.shape),)
+            return (np.broadcast_to(np.expand_dims(g, ax), shape),)
 
     return _record((a,), out, pullback)
 
@@ -559,12 +571,13 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     if a.size == 0:
         raise ValueError("mean: cannot reduce an empty tensor")
+    shape = a.shape
     if axis is None:
         n = a.size
         out = a.data.mean()
 
         def pullback(g):
-            return (np.broadcast_to(g / n, a.shape) if a.requires_grad else None,)
+            return (np.broadcast_to(g / n, shape),)
 
     else:
         ax = _normalize_axis("mean", axis, a.ndim)
@@ -572,9 +585,7 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
         out = a.data.mean(axis=ax)
 
         def pullback(g):
-            if not a.requires_grad:
-                return (None,)
-            return (np.broadcast_to(np.expand_dims(g / n, ax), a.shape),)
+            return (np.broadcast_to(np.expand_dims(g / n, ax), shape),)
 
     return _record((a,), out, pullback)
 
@@ -583,20 +594,13 @@ def transpose_last(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ValueError(f"transpose_last: tensor must be at least 2-D, got shape {a.shape}")
     out = np.swapaxes(a.data, -1, -2).copy()
-
-    def pullback(g):
-        return (np.swapaxes(g, -1, -2) if a.requires_grad else None,)
-
-    return _record((a,), out, pullback)
+    return _record((a,), out, lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape).copy()
-
-    def pullback(g):
-        return (g.reshape(a.shape) if a.requires_grad else None,)
-
-    return _record((a,), out, pullback)
+    before = a.shape
+    return _record((a,), out, lambda g: (g.reshape(before),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -615,7 +619,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     base[ax] = sum(sizes)
     out = np.concatenate([t.data for t in tensors], axis=ax, out=_empty(tuple(base)))
     offsets = np.cumsum([0] + sizes)
-    wanted = [t.requires_grad for t in tensors]  # not the tensors: an input without a gradient goes now
+    wanted = [t.requires_grad for t in tensors]
 
     def pullback(g):
         grads = []
@@ -642,11 +646,10 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = tuple(index)
     out = _empty(a.shape[:ax] + (stop - start,) + a.shape[ax + 1:])
     out[...] = a.data[index]
+    shape = a.shape
 
     def pullback(g):
-        if not a.requires_grad:
-            return (None,)
-        full = _zeros(a.shape)
+        full = _zeros(shape)
         full[index] = g
         return (full,)
 
@@ -659,11 +662,7 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
         raise ValueError(f"expand_leading: batch size must be positive, got {n}")
     out = _empty((n,) + a.shape)
     out[...] = a.data
-
-    def pullback(g):
-        return (g.sum(axis=0) if a.requires_grad else None,)
-
-    return _record((a,), out, pullback)
+    return _record((a,), out, lambda g: (g.sum(axis=0),))
 
 
 # -- fused ops ---------------------------------------------------------
@@ -732,21 +731,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     out += b.data
     if residual is not None:
         out += residual.data
+    mask = None
     if relu:
         np.maximum(out, 0.0, out=out)
+        if _recorded(inputs):  # a byte per element, where the output would keep eight
+            mask = np.greater(out, 0.0, out=_empty(shape, np.bool_))
+    xs, ws, bs = x.shape, w.shape, _grad_shape(b)
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    rg = None if residual is None else residual.requires_grad
 
     def pullback(g):
-        if relu:  # masked in place unless backward shares g (see there)
-            g = np.multiply(g, out > 0.0, out=g if g.flags.writeable else _empty(g.shape))
-        gx = _input_grad(g, w.data, x.shape, pad_rows) if x.requires_grad else None
+        if mask is not None:  # masked in place unless backward shares g (see there)
+            g = np.multiply(g, mask, out=g if g.flags.writeable else _empty(g.shape))
+        gx = None if wd is None else _input_grad(g, wd, xs, pad_rows)
         gw = None
-        if w.requires_grad:
-            xt = np.swapaxes(x.data, -1, -2)
-            gw = _unbroadcast(np.matmul(xt, g, out=_empty(x.shape[:-2] + w.shape)), w.shape)
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
-        if residual is None:
+        if xd is not None:
+            gw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g, out=_empty(xs[:-2] + ws)), ws)
+        gb = _unbroadcast(g, bs)
+        if rg is None:
             return gx, gw, gb
-        return gx, gw, gb, (g if residual.requires_grad else None)
+        return gx, gw, gb, (g if rg else None)
 
     return _record(inputs, out, pullback)
 
@@ -760,19 +765,20 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
         )
     out = _empty(a.shape)
     norm, inv = _normalize(a.data, eps, out=_empty(a.shape), scratch=out)
-    np.multiply(norm, gamma.data, out=out)
+    gd = gamma.data
+    np.multiply(norm, gd, out=out)
     out += beta.data
+    need_a, sg, sb = a.requires_grad, _grad_shape(gamma), _grad_shape(beta)
 
     def pullback(g):
         ga = gg = None
-        tmp = _empty(a.shape)
-        if a.requires_grad:
-            ga = np.multiply(g, gamma.data, out=_empty(a.shape))
+        tmp = _empty(norm.shape)
+        if need_a:
+            ga = np.multiply(g, gd, out=_empty(norm.shape))
             _normalize_pullback(ga, norm, inv, into=ga, scratch=tmp)
-        if gamma.requires_grad:
-            gg = _unbroadcast(np.multiply(g, norm, out=tmp), gamma.shape)
-        gb = _unbroadcast(g, beta.shape) if beta.requires_grad else None
-        return ga, gg, gb
+        if sg is not None:
+            gg = _unbroadcast(np.multiply(g, norm, out=tmp), sg)
+        return ga, gg, _unbroadcast(g, sb)
 
     return _record((a, gamma, beta), out, pullback)
 
@@ -815,10 +821,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def keys_t() -> Array:
         # rebuilt in the pullback, not kept
         kt = _empty(head_t)
-        kt[...] = np.swapaxes(split(k.data), -1, -2)
+        kt[...] = np.swapaxes(split(kd), -1, -2)
         return kt
 
-    qh, vh = split(q.data), split(v.data)
+    qh, vh, kd = split(q.data), split(v.data), k.data
     if dh == 1:  # one-feature heads are vectors to BLAS, whose bits depend on their stride
         qh, vh = qh.copy(), vh.copy()
     kt = keys_t()
@@ -828,28 +834,30 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     _softmax(attn, out=attn)
     out = _empty(q.shape)
     np.matmul(attn, vh, out=split(out))
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    q_shape, kv_shape = q.shape, k.shape
 
     def pullback(g):
         go = split(g)
         gq = gk = gv = None
-        if v.requires_grad:
-            gv = _empty(v.shape)
+        if need_v:
+            gv = _empty(kv_shape)
             np.matmul(np.swapaxes(attn, -1, -2), go, out=split(gv))
-        if q.requires_grad or k.requires_grad:
+        if need_q or need_k:
             gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_empty(scores))
             tmp = _empty(scores)
             _softmax_pullback(gs, attn, into=gs, scratch=tmp)
             del tmp  # before the buffers below are taken, so that they may reuse it
             gs *= scale
             kt = keys_t()
-            if q.requires_grad:
-                gq = _empty(q.shape)
+            if need_q:
+                gq = _empty(q_shape)
                 np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq))
-            if k.requires_grad:
+            if need_k:
                 np.matmul(np.swapaxes(qh, -1, -2), gs, out=kt)
             del gs  # before gk is taken, so that it may reuse it
-            if k.requires_grad:
-                gk = _empty(k.shape)
+            if need_k:
+                gk = _empty(kv_shape)
                 split(gk)[...] = np.swapaxes(kt, -1, -2)
         if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
             for grad in (gq, gk, gv):
@@ -882,23 +890,24 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
                 f"row_readout: row {i} of {n}, weight {w.shape}, bias {b.shape} do not fit input {x.shape}"
             )
     picked = x.data[..., list(rows), :]
-    out = (picked * np.stack([w.data for w in weights])).sum(axis=-1)
+    wd = np.stack([w.data for w in weights])
+    out = (picked * wd).sum(axis=-1)
     out += np.array([b.data for b in biases])
     order = range(m - 1, -1, -1)
+    sx = _grad_shape(x)
+    wants = [(biases[j].requires_grad, weights[j].requires_grad) for j in range(m)]
 
     def pullback(g):
-        gx = _zeros(x.shape) if x.requires_grad else None
+        gx = None if sx is None else _zeros(sx)
         grads = []
         for j in order:
             col = g[..., j:j + 1]
-            w, b = weights[j], biases[j]
-            grads.append(_unbroadcast(col, ()) if b.requires_grad else None)
-            grads.append(
-                _unbroadcast(col[..., None] * picked[..., j:j + 1, :], w.shape) if w.requires_grad else None
-            )
+            want_b, want_w = wants[j]
+            grads.append(_unbroadcast(col, ()) if want_b else None)
+            grads.append(_unbroadcast(col[..., None] * picked[..., j:j + 1, :], (d,)) if want_w else None)
             if gx is not None:
                 row = (Ellipsis, slice(rows[j], rows[j] + 1), slice(None))
-                _write_slice(gx, row, col[..., None] * w.data, m == 1)
+                _write_slice(gx, row, col[..., None] * wd[j], m == 1)
         return (gx, *grads)
 
     inputs = (x,) + tuple(t for j in order for t in (biases[j], weights[j]))
@@ -911,10 +920,14 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    The root must hold a single element. Outside a step workspace the tape
-    is replayed, so a repeated call accumulates again. Inside one it is
-    consumed: each entry is dropped before its pullback runs, so that the
-    op's arrays go back once that has run, and a second call raises.
+    The root must hold a single element. Adjoints are routed by the keys
+    the tape entries hold (see ``GradTape``), so a recorded tensor the
+    caller dropped before this call still passes its adjoint on. Outside a
+    step workspace the tape is replayed, so a repeated call accumulates
+    again. Inside one it is consumed: each entry is dropped before its
+    pullback runs, so that the arrays its pullback holds (only those it
+    reads: a ReLU's one-byte mask, not its output) go back once that has
+    run, and a second call raises.
 
     A pullback may overwrite its ``g`` exactly when ``g`` is writeable: a
     returned ``g``, or a view of it, may serve several inputs, so it is
@@ -922,7 +935,7 @@ def backward(root: Tensor) -> None:
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
-    adjoint = {id(root): np.ones_like(root.data)}
+    adjoint = {root.key: np.ones_like(root.data)}
     if _WORKSPACE is None:
         for entry in reversed(_TAPE._entries):
             _pull(*entry, adjoint)
@@ -935,27 +948,27 @@ def backward(root: Tensor) -> None:
         _pull(*_TAPE._entries.pop(), adjoint)
 
 
-def _pull(out: Tensor, inputs: tuple[Tensor | None, ...], pullback: Pullback,
+def _pull(key: int, routes: tuple[int | Tensor | None, ...], pullback: Pullback,
           adjoint: dict[int, Array]) -> None:
     """Run one tape entry's pullback, if its output has an adjoint, and pass the results on."""
-    g = adjoint.pop(id(out), None)
+    g = adjoint.pop(key, None)
     if g is None:
         return
-    for t, gt in zip(inputs, pullback(g)):
+    for route, gt in zip(routes, pullback(g)):
         if gt is None:
             continue
-        if _TAPE.produced(t):
-            acc = adjoint.get(id(t))
+        if isinstance(route, int):
+            acc = adjoint.get(route)
             if acc is not None:
                 gt = np.add(acc, gt, out=_empty(gt.shape))
             elif np.may_share_memory(gt, g):
                 gt = gt.view()
                 gt.flags.writeable = False
-            adjoint[id(t)] = gt
-        elif t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add(t.grad, gt, out=t.grad)
+            adjoint[route] = gt
+        elif route.requires_grad:
+            if route.grad is None:
+                route.grad = np.zeros_like(route.data)
+            np.add(route.grad, gt, out=route.grad)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -14,6 +14,7 @@ import os
 import statistics
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import test_training
 from helpers import reference_linear
 from promptcl import ModelConfig, RunConfig, tensor, training
 from promptcl.adapters import compute_trainable_mask
-from promptcl.losses import mask_to_task
+from promptcl.losses import asl_loss, mask_to_task
 from promptcl.model import build_model, forward_logits, named_params, predict_probs
 from promptcl.prompts import add_class_prompts, freeze_previous
 from promptcl.protocol import build_task_stream
@@ -264,12 +265,36 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
     assert all(t.requires_grad for t in named_params(state).values())
 
 
-def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch):
-    # 2,333,056 float64 elements (17.8 MiB): this step's high-water mark
-    # since the attention runs every head in one batched product (commit
-    # 82c995b). Keeping the frozen prefix alive until the concat's pullback
-    # (2,376,064) or never masking a ReLU adjoint in place (2,390,400)
-    # would exceed it.
+def twelve_prompt_step(stage):
+    """The default model with 12 prompts at batch 64: a stage-1 step training all of them, or
+    the desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen)."""
+    cfg = RunConfig(model=ModelConfig(), batch_size=64)
+    state = build_model(cfg.model)
+    if stage == 1:
+        class_ids = list(range(12))
+        add_class_prompts(state.pool, state.bank, class_ids, stage=1)
+    else:
+        for s in (1, 2, 3):
+            class_ids = list(range(4 * s - 4, 4 * s))
+            add_class_prompts(state.pool, state.bank, class_ids, stage=s)
+            freeze_previous(state.pool, state.bank, s)
+    mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
+    r = np.random.default_rng(0)
+    images = r.normal(size=(64, cfg.model.image_side, cfg.model.image_side))
+    labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
+    return cfg, state, class_ids, mask, images, labels
+
+
+# The step's high-water mark in float64 elements, as this tape measures it.
+# Before tape entries stopped holding their outputs and pullbacks their
+# input tensors, both steps took 2,333,056. Keeping x in every linear's
+# pullback, or a ReLU's float output instead of its one-byte mask, exceeds
+# these bounds.
+TWELVE_PROMPT_NEED = {1: 1_470_464, 3: 1_413_120}
+
+
+@pytest.mark.parametrize("stage", [1, 3], ids=["stage-1", "desk-stage-3"])
+def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, stage):
     needs = []
 
     def recording_backward(root):
@@ -277,17 +302,149 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch):
         needs.append(tensor._WORKSPACE.need)
 
     monkeypatch.setattr(training, "backward", recording_backward)
-    cfg = RunConfig(model=ModelConfig(), batch_size=64)
-    state = build_model(cfg.model)
-    class_ids = list(range(12))
-    add_class_prompts(state.pool, state.bank, class_ids, stage=1)
-    mask = compute_trainable_mask(1, state.pool, state.bank, state.adapters, state.backbone)
-    r = np.random.default_rng(0)
-    images = r.normal(size=(64, cfg.model.image_side, cfg.model.image_side))
-    labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
+    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage)
     training._fit(state, images, labels, class_ids, mask, 1, cfg, (0, "workspace-need"))
     assert len(needs) == 1
-    assert needs[0] <= 2_333_056
+    assert needs[0] <= TWELVE_PROMPT_NEED[stage]
+
+
+def held_tensors():
+    """Every tensor the tape holds: in its entries and in its pullbacks' closures, nested ones included."""
+    held, seen = [], set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            held.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif isinstance(obj, types.FunctionType):
+            visit(obj.__defaults__ or ())
+            for cell in obj.__closure__ or ():
+                with contextlib.suppress(ValueError):  # a cell not yet filled
+                    visit(cell.cell_contents)
+
+    visit(active_tape()._entries)
+    return held
+
+
+@contextlib.contextmanager
+def computed_tensors(monkeypatch):
+    """Collect every tensor an op returns while the block runs."""
+    outputs = []
+    record = tensor._record
+
+    def collecting_record(*args):
+        outputs.append(record(*args))
+        return outputs[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor, "_record", collecting_record)
+        yield outputs
+
+
+@pytest.mark.parametrize("ops", ["fused", "unfused"])
+def test_after_a_blocks_forward_pass_the_tape_holds_no_tensor_an_op_computed(monkeypatch, ops):
+    held = []
+
+    def walking_backward(root):
+        held.extend(held_tensors())
+        backward(root)
+
+    arrays = test_tensor.block_arrays(7, 4)
+    monkeypatch.setattr(test_tensor, "backward", walking_backward)
+    with computed_tensors(monkeypatch) as outputs:
+        test_tensor._block_and_readout(test_tensor.FUSED if ops == "fused" else test_tensor.UNFUSED,
+                                       arrays, 4, [3, 0, 4], True)
+    assert len(outputs) >= 8 and held  # the leaves that take a gradient
+    computed = {id(t) for t in outputs}
+    assert [t for t in held if id(t) in computed] == []
+
+
+@pytest.mark.parametrize("stage", [1, 3], ids=["stage-1", "desk-stage-3"])
+def test_after_a_training_steps_forward_pass_the_tape_holds_no_tensor_an_op_computed(monkeypatch, stage):
+    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage)
+    for name, t in named_params(state).items():
+        t.requires_grad = mask[name]
+    with computed_tensors(monkeypatch) as outputs:
+        loss = asl_loss(forward_logits(state, images[:5], class_ids), labels[:5], cfg.asl)
+    held = held_tensors()
+    assert len(active_tape()) > 40 and loss in outputs
+    computed = {id(t) for t in outputs}
+    assert [t for t in held if id(t) in computed] == []
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_a_frozen_linear_chain_hands_back_what_no_pullback_reads(monkeypatch, relu):
+    # With frozen weights a linear's pullback reads neither its input nor
+    # its output, so each intermediate goes back once the caller drops it.
+    monkeypatch.setattr(tensor, "_POISON", True)
+    r = np.random.default_rng(5)
+    x0, target = r.normal(size=(3, 6, 8)), r.normal(size=(3, 6, 8))
+    weights, biases = [0.4 * r.normal(size=(8, 8)) for _ in range(4)], [r.normal(size=8) for _ in range(4)]
+    grads = []
+    for lin in (linear, reference_linear):
+        x = Tensor(x0, requires_grad=True)
+        bs = [Tensor(b, requires_grad=True) for b in biases]
+        with step_workspace() if lin is linear else contextlib.nullcontext() as ws:
+            hs = [x]
+            for w, b in zip(weights, bs):
+                hs.append(lin(hs[-1], Tensor(w), b, relu=relu))
+            loss = (hs[-1] * Tensor(target)).sum()
+            if ws is not None:
+                lent = len(ws.lent)
+                del hs
+                assert len(ws.lent) == lent - 4
+            backward(loss)
+            reset_tape()
+        grads.append([t.grad.tobytes() for t in [x, *bs]])
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_a_tensor_recorded_before_reset_tape_takes_a_gradient_after_it_as_a_leaf_does(pooled):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with step_workspace() if pooled else contextlib.nullcontext():
+        y = x * 2.0  # recorded on the tape that reset_tape() clears
+        reset_tape()
+        backward((y * y).sum())
+        reset_tape()
+    assert np.array_equal(y.grad, 2.0 * y.data)
+    assert x.grad is None
+
+
+def dying_tensors_step():
+    """The gradients of x and of 64 new leaves, from a loss whose recorded tensors die as it
+    is built, and whether a leaf took the address of a recorded tensor dropped before it."""
+    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3), requires_grad=True)
+    target = Tensor(np.full((4, 3), 0.5))
+    loss, leaves, dropped, reused = None, [], set(), False
+    for i in range(64):
+        y = x * float(i + 1)
+        term = (y * y).sum()
+        dropped.add(id(y))
+        del y
+        w = Tensor(np.full((4, 3), float(i)), requires_grad=True)
+        reused |= id(w) in dropped
+        leaves.append(w)
+        term = term + (w * target).sum()
+        loss = term if loss is None else loss + term
+    backward(loss)
+    reset_tape()
+    return [t.grad.tobytes() for t in [x, *leaves]], reused
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_adjoints_stay_right_when_new_leaves_reuse_dropped_tensors_addresses(monkeypatch, pooled):
+    with step_workspace() if pooled else contextlib.nullcontext():
+        got, reused = dying_tensors_step()
+    with step_workspace() if pooled else contextlib.nullcontext(), computed_tensors(monkeypatch):
+        want, _ = dying_tensors_step()  # every recorded tensor alive: no address is reused
+    assert reused
+    assert got == want
 
 
 FAULT_PROBE = """
