@@ -285,11 +285,10 @@ def twelve_prompt_step(stage):
     return cfg, state, class_ids, mask, images, labels
 
 
-# The step's high-water mark in float64 elements, as this tape measures it.
-# Before tape entries stopped holding their outputs and pullbacks their
-# input tensors, both steps took 2,333,056. Keeping x in every linear's
-# pullback, or a ReLU's float output instead of its one-byte mask, exceeds
-# these bounds.
+# Each step's high-water mark in float64 elements. Keeping every linear's
+# input for its pullback, or a ReLU's float output instead of its one-byte
+# mask, exceeds it; a tape that held every op's output and its pullbacks'
+# input tensors took 2,333,056 on both steps.
 TWELVE_PROMPT_NEED = {1: 1_470_464, 3: 1_413_120}
 
 
@@ -377,7 +376,7 @@ def test_after_a_training_steps_forward_pass_the_tape_holds_no_tensor_an_op_comp
     assert [t for t in held if id(t) in computed] == []
 
 
-@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
 def test_a_frozen_linear_chain_hands_back_what_no_pullback_reads(monkeypatch, relu):
     # With frozen weights a linear's pullback reads neither its input nor
     # its output, so each intermediate goes back once the caller drops it.
