@@ -58,7 +58,6 @@ from .tensor import (
     backward,
     concat,
     expand_leading,
-    finite_difference_gradient,
     layer_norm_affine,
     linear,
     multi_head_attention,

@@ -285,12 +285,6 @@ class Tensor:
     def clamp(self, lo: float, hi: float):
         return clamp(self, lo, hi)
 
-    def softmax(self):
-        return softmax(self)
-
-    def layer_norm(self, eps: float = 1e-5):
-        return layer_norm(self, eps)
-
     def sum(self, axis: int | None = None):
         return reduce_sum(self, axis)
 
@@ -507,12 +501,6 @@ def _softmax_pullback(g: Array, out: Array, into: Array | None = None,
     return res
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, shift-stabilised."""
-    out = _softmax(a.data)
-    return _record((a,), out, lambda g: (_softmax_pullback(g, out),))
-
-
 def _normalize(x: Array, eps: float, out: Array | None = None,
                scratch: Array | None = None) -> tuple[Array, Array]:
     """Last-axis standardisation ``(x - mu) * inv`` and the reciprocal deviation ``inv``."""
@@ -533,12 +521,6 @@ def _normalize_pullback(g: Array, out: Array, inv: Array, into: Array | None = N
     res -= np.multiply(out, gy, out=scratch)
     res *= inv
     return res
-
-
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean, unit variance (population)."""
-    out, inv = _normalize(a.data, eps)
-    return _record((a,), out, lambda g: (_normalize_pullback(g, out, inv),))
 
 
 # -- reductions and shape ops -----------------------------------------
@@ -688,20 +670,52 @@ def _write_slice(buf: Array, index: tuple, part: Array, alone: bool) -> None:
         buf[index] += part
 
 
+_SLICE = 8  # items of the first axis in one slice of a batch-wide pullback temporary
+_STACK = 1 << 17  # elements (1 MB): a larger weight-gradient stack is made in slices
+
+
 def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None) -> Array:
-    """``g @ w.T`` into a new buffer of ``shape``, computed on ``pad_rows`` rows when given."""
+    """``g @ w.T`` into a new buffer of ``shape``, computed on ``pad_rows`` rows when given.
+
+    The padded product is made ``_SLICE`` items at a time: a stacked
+    ``matmul`` makes the same per-matrix BLAS call whatever its batch
+    holds, so each item keeps the bits of the whole batch's product.
+    """
     wt = np.swapaxes(w, -1, -2)
     rows = shape[-2]
     if pad_rows is None or pad_rows == rows:
         return np.matmul(g, wt, out=_empty(shape))
-    lead = shape[:-2]
-    padded = _empty(lead + (pad_rows, g.shape[-1]))
-    padded[..., :rows, :] = g
-    padded[..., rows:, :] = 0.0
-    full = np.matmul(padded, wt, out=_empty(lead + (pad_rows, shape[-1])))
     gx = _empty(shape)
-    gx[...] = full[..., :rows, :]
+    items, g = (gx, g) if len(shape) > 2 else (gx[None], g[None])
+    padded = _zeros((min(_SLICE, len(items)),) + items.shape[1:-2] + (pad_rows, g.shape[-1]))
+    full = _empty(padded.shape[:-1] + shape[-1:])
+    for s in range(0, len(items), _SLICE):
+        n = min(_SLICE, len(items) - s)
+        padded[:n, ..., :rows, :] = g[s:s + n]
+        np.matmul(padded[:n], wt, out=full[:n])
+        items[s:s + n] = full[:n, ..., :rows, :]
     return gx
+
+
+def _weight_grad(x: Array, g: Array, ws: tuple[int, ...]) -> Array:
+    """``x.T @ g`` summed over the leading batch axes, as ``_unbroadcast`` sums it.
+
+    NumPy sums a stack over its leading axes strictly in order, so a stack
+    of more than ``_STACK`` elements is made ``_SLICE`` items at a time,
+    each slice's sum starting from the sum of the slices before it.
+    """
+    xt, lead = np.swapaxes(x, -1, -2), x.shape[:-2]
+    if not lead or math.prod(lead + ws) <= _STACK:
+        return _unbroadcast(np.matmul(xt, g, out=_empty(lead + ws)), ws)
+    per = math.prod(lead[1:])  # matrices in one item
+    stack, acc = _empty((1 + _SLICE * per,) + ws), _empty(ws)  # stack[0] holds the running sum
+    for s in range(0, lead[0], _SLICE):
+        end = 1 + min(_SLICE, lead[0] - s) * per
+        np.matmul(xt[s:s + _SLICE], g[s:s + _SLICE], out=stack[1:end].reshape((-1,) + lead[1:] + ws))
+        if s:
+            stack[0] = acc
+        np.add.reduce(stack[0 if s else 1:end], axis=0, out=acc)
+    return acc
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
@@ -712,7 +726,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     adjoint zero-padded to that many rows and cut back to ``x``'s rows:
     BLAS picks its kernel by row count, so the rows of ``x`` then get the
     bits they would get as the leading rows of a ``pad_rows``-row input
-    whose other rows have zero adjoint.
+    whose other rows have zero adjoint. The pullback's batch-wide
+    temporaries, that padded product and a weight-gradient stack of more
+    than 1 MB, are made 8 items of the first axis at a time with the same
+    bytes (see ``_input_grad`` and ``_weight_grad``), so that they no
+    longer set a training step's peak.
     """
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
         raise ValueError(
@@ -745,9 +763,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         if mask is not None:  # masked in place unless backward shares g (see there)
             g = np.multiply(g, mask, out=g if g.flags.writeable else _empty(g.shape))
         gx = None if wd is None else _input_grad(g, wd, xs, pad_rows)
-        gw = None
-        if xd is not None:
-            gw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g, out=_empty(xs[:-2] + ws)), ws)
+        gw = None if xd is None else _weight_grad(xd, g, ws)
         gb = _unbroadcast(g, bs)
         if rg is None:
             return gx, gw, gb
@@ -974,28 +990,3 @@ def _pull(key: int, routes: tuple[int | Tensor | None, ...], pullback: Pullback,
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-# -- numerical oracle --------------------------------------------------
-
-
-def finite_difference_gradient(f, theta, eps: float = 1e-5) -> Array:
-    """Central-difference gradient of scalar ``f`` at ``theta``.
-
-    ``f`` receives a plain ndarray of the same shape as ``theta`` and must
-    return a float. Cost is two evaluations per coordinate; meant as an
-    independent check on the analytic reverse pass, not for training.
-    """
-    base = theta.data if isinstance(theta, Tensor) else np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        saved = flat[i]
-        probe = base.copy().reshape(-1)
-        probe[i] = saved + eps
-        hi = f(probe.reshape(base.shape))
-        probe[i] = saved - eps
-        lo = f(probe.reshape(base.shape))
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad

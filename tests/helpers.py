@@ -2,8 +2,9 @@
 
 Everything here is written as a stand-alone reference: naive loops and
 textbook formulas, no imports from the package's own metric or autodiff
-internals beyond the public Tensor/finite-difference entry points they
-are meant to cross-check.
+internals beyond the public Tensor entry points they are meant to
+cross-check, and the tape's ``_record``, through which the unfused
+``softmax`` and ``layer_norm`` ops below put their literal pullbacks on it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,29 @@ import math
 
 import numpy as np
 
-from promptcl import Tensor, backward, concat, finite_difference_gradient, narrow, reset_tape
+from promptcl import Tensor, backward, concat, narrow, reset_tape, tensor
+
+
+def finite_difference_gradient(f, theta, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar ``f`` at ``theta``.
+
+    ``f`` receives a plain ndarray of the same shape as ``theta`` and must
+    return a float. Cost is two evaluations per coordinate; meant as an
+    independent check on the analytic reverse pass, not for training.
+    """
+    base = theta.data if isinstance(theta, Tensor) else np.asarray(theta, dtype=np.float64)
+    grad = np.zeros_like(base)
+    flat = base.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        saved = flat[i]
+        probe = base.copy().reshape(-1)
+        probe[i] = saved + eps
+        hi = f(probe.reshape(base.shape))
+        probe[i] = saved - eps
+        lo = f(probe.reshape(base.shape))
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def scaled_max_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -60,6 +83,29 @@ def gradcheck(make_scalar, param: Tensor, eps: float = 1e-5, tol: float = 1e-4) 
 #
 # Each builds the chain of primitive ops that the fused op replaced; the
 # fused op must match it byte for byte, outputs and gradients alike.
+# ``softmax`` and ``layer_norm`` are the chain's two unfused last-axis ops,
+# written as the literal NumPy expressions the fused ops compute in place.
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, shift-stabilised."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return tensor._record((a,), out, lambda g: ((g - (g * out).sum(axis=-1, keepdims=True)) * out,))
+
+
+def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalise the last axis to zero mean, unit variance (population)."""
+    xc = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    out = xc * inv
+
+    def pullback(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * out).mean(axis=-1, keepdims=True)
+        return ((g - gm - out * gy) * inv,)
+
+    return tensor._record((a,), out, pullback)
 
 
 def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None, relu=False) -> Tensor:
@@ -70,7 +116,7 @@ def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None, relu=False)
 
 
 def reference_layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    return x.layer_norm() * gamma + beta
+    return layer_norm(x) * gamma + beta
 
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -82,7 +128,7 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         qs = narrow(q, -1, h * dh, (h + 1) * dh)
         ks = narrow(k, -1, h * dh, (h + 1) * dh)
         vs = narrow(v, -1, h * dh, (h + 1) * dh)
-        attn = ((qs @ ks.transpose_last()) * scale).softmax()
+        attn = softmax((qs @ ks.transpose_last()) * scale)
         outs.append(attn @ vs)
     return outs[0] if heads == 1 else concat(outs, axis=-1)
 

@@ -10,19 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    finite_difference_gradient,
     gradcheck,
+    layer_norm,
     reference_attention,
     reference_layer_norm_affine,
     reference_linear,
     reference_readout,
     scaled_max_error,
+    softmax,
 )
 from promptcl import (
     Tensor,
     backward,
     concat,
     expand_leading,
-    finite_difference_gradient,
     layer_norm_affine,
     linear,
     multi_head_attention,
@@ -46,15 +48,15 @@ def t(values, requires_grad=True):
 def test_layer_norm_two_point_row():
     # mean 2, population variance 1: normalized row is +/- 1/sqrt(1 + eps).
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
-    out = t([[1.0, 3.0]]).layer_norm()
+    out = layer_norm(t([[1.0, 3.0]]))
     assert np.allclose(out.data, [[-expected, expected]], rtol=0, atol=1e-15)
 
 
 def test_softmax_uniform_and_shift_invariance():
-    out = t([[0.0, 0.0, 0.0, 0.0]]).softmax()
+    out = softmax(t([[0.0, 0.0, 0.0, 0.0]]))
     assert np.allclose(out.data, 0.25, atol=1e-15)
-    shifted = t([[1000.0, 1001.0]]).softmax()
-    plain = t([[0.0, 1.0]]).softmax()
+    shifted = softmax(t([[1000.0, 1001.0]]))
+    plain = softmax(t([[0.0, 1.0]]))
     assert np.allclose(shifted.data, plain.data, atol=1e-12)
 
 
@@ -91,7 +93,7 @@ def test_softmax_row_max_gives_the_bytes_of_the_max_reduction():
 def test_log_softmax_gradient_hand_value():
     # d/dx log softmax(x)[0] at x = (0, 0) is (1 - 1/2, -1/2) = (0.5, -0.5).
     x = t([0.0, 0.0])
-    out = narrow(x.softmax().log(), axis=-1, start=0, stop=1)
+    out = narrow(softmax(x).log(), axis=-1, start=0, stop=1)
     backward(out)
     assert np.allclose(x.grad, [0.5, -0.5], atol=1e-12)
 
@@ -140,8 +142,8 @@ OP_CASES = {
     "log": lambda p, r: (p.exp() + 1.0).log().sum(),
     "power": lambda p, r: (p**3.0).sum(),
     "sigmoid": lambda p, r: p.sigmoid().sum(),
-    "softmax": lambda p, r: (p.softmax() * t(r.normal(size=(3, 4)), False)).sum(),
-    "layer_norm": lambda p, r: (p.layer_norm() * t(r.normal(size=(3, 4)), False)).sum(),
+    "softmax": lambda p, r: (softmax(p) * t(r.normal(size=(3, 4)), False)).sum(),
+    "layer_norm": lambda p, r: (layer_norm(p) * t(r.normal(size=(3, 4)), False)).sum(),
     "mean_axis": lambda p, r: (p.mean(axis=-1) * t(r.normal(size=(3,)), False)).sum(),
     "sum_axis": lambda p, r: (p.sum(axis=0) * t(r.normal(size=(4,)), False)).mean(),
     "transpose": lambda p, r: (p.transpose_last() @ p).sum(),
@@ -338,6 +340,65 @@ def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_ro
         linear(t(x_all), t(w), t(b), pad_rows=pad_rows - 1)
 
 
+def one_shot_input_grad(g, w, shape, pad_rows):
+    """``linear``'s input gradient as one product over the whole (padded) batch."""
+    rows = shape[-2]
+    if pad_rows == rows:
+        return np.matmul(g, w.T)
+    padded = np.zeros(shape[:-2] + (pad_rows, g.shape[-1]))
+    padded[..., :rows, :] = g
+    return np.matmul(padded, w.T)[..., :rows, :]
+
+
+def one_shot_weight_grad(x, g):
+    """``linear``'s weight gradient as one stack of per-item products, summed over the batch axes."""
+    return np.matmul(np.swapaxes(x, -1, -2), g).sum(axis=tuple(range(x.ndim - 2)))
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["plain", "poisoned"])
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (8,), (9,), (64,), (65,), (3, 5)], ids=str)
+def test_sliced_linear_pullbacks_give_the_one_shot_bytes(monkeypatch, lead, poison):
+    # The padded input gradient and the large weight-gradient stacks are made
+    # a few items at a time (65 leaves a ragged last slice); each must give
+    # the bytes of the one-shot product, for contiguous, read-only
+    # (broadcast) and strided adjoints alike.
+    monkeypatch.setattr(tensor, "_POISON", poison)
+    r = rng_for(math.prod(lead))
+    sliced_stacks = 0
+    for k, m in [(8, 32), (32, 32), (128, 32), (32, 128), (128, 128)]:
+        sliced_stacks += len(lead) > 0 and math.prod(lead + (k, m)) > tensor._STACK
+        for rows, pad_rows in [(4, 20), (12, 28), (5, 5)]:
+            x, w = r.normal(size=lead + (rows, k)), r.normal(size=(k, m))
+            adjoints = {
+                "contiguous": r.normal(size=lead + (rows, m)),
+                "read-only": np.broadcast_to(r.normal(size=(rows, m)), lead + (rows, m)),
+                "strided": r.normal(size=lead + (rows, 2 * m))[..., ::2],
+            }
+            for kind, g in adjoints.items():
+                case = (k, m, rows, pad_rows, kind)
+                with step_workspace() if poison else contextlib.nullcontext():
+                    gx = tensor._input_grad(g, w, x.shape, pad_rows).tobytes()
+                    gw = tensor._weight_grad(x, g, (k, m)).tobytes()
+                assert gx == one_shot_input_grad(g, w, x.shape, pad_rows).tobytes(), case
+                assert gw == one_shot_weight_grad(x, g).tobytes(), case
+    assert sliced_stacks == {(9,): 1, (64,): 3, (65,): 3, (3, 5): 1}.get(lead, 0)
+
+
+@pytest.mark.parametrize("lead", [(2,), (9,), (40,), (64,), (65,), (8, 8)], ids=str)
+def test_numpy_sums_a_stack_over_its_leading_axes_in_order(lead):
+    # linear's sliced weight gradient carries each slice's sum into the next
+    # slice's reduction, which keeps the bytes only if NumPy adds the items
+    # of a stack one after another. Scales over twelve decades make any other
+    # order show in the low bits.
+    r = rng_for(math.prod(lead))
+    stack = r.normal(size=lead + (32, 128)) * np.logspace(0, 12, math.prod(lead)).reshape(lead + (1, 1))
+    running = stack.reshape((-1, 32, 128))[0].copy()
+    for item in stack.reshape((-1, 32, 128))[1:]:
+        running += item
+    assert stack.sum(axis=tuple(range(len(lead)))).tobytes() == running.tobytes(), \
+        f"NumPy {np.__version__} no longer sums a stack over its leading axes in order"
+
+
 def test_fused_ops_record_one_tape_entry_each():
     x = t(np.ones((2, 3, 4)))
     w, b, ones = t(np.ones((4, 4))), t(np.zeros(4)), t(np.ones(4))
@@ -494,7 +555,7 @@ def test_forward_backward_deterministic():
     def run():
         reset_tape()
         x = t(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
-        out = (x.softmax().log() * -1.0).mean()
+        out = (softmax(x).log() * -1.0).mean()
         backward(out)
         return out.data.copy(), x.grad.copy()
 
@@ -507,7 +568,7 @@ def test_forward_backward_deterministic():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(values):
     reset_tape()
-    out = t([values]).softmax()
+    out = softmax(t([values]))
     assert np.allclose(out.data.sum(), 1.0, atol=1e-12)
     assert np.all(out.data >= 0.0)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gradcheck
+from helpers import gradcheck, layer_norm
 from promptcl import (
     AdapterLayer,
     AdapterStack,
@@ -190,7 +190,7 @@ def test_prompts_skip_early_layers():
     x_check = x_plain
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
         x_check = sab_forward(x_check, params.blocks[layer - 1], cfg.heads)
-    x_check = x_check.layer_norm() * params.final_ln_g + params.final_ln_b
+    x_check = layer_norm(x_check) * params.final_ln_g + params.final_ln_b
     assert np.allclose(o_I0.data[0], x_check.data[0], atol=1e-12)
 
 

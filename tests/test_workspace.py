@@ -266,33 +266,40 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
 
 
 def twelve_prompt_step(stage):
-    """The default model with 12 prompts at batch 64: a stage-1 step training all of them, or
-    the desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen)."""
+    """The default model with 12 prompts at batch 64: a stage-1 step training all of them, the
+    desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen),
+    or a pretraining step, which trains every weight of the adapter-free model."""
     cfg = RunConfig(model=ModelConfig(), batch_size=64)
-    state = build_model(cfg.model)
-    if stage == 1:
-        class_ids = list(range(12))
-        add_class_prompts(state.pool, state.bank, class_ids, stage=1)
-    else:
+    state = build_model(cfg.model, use_adapters=stage != "pretraining")
+    if stage == 3:
         for s in (1, 2, 3):
             class_ids = list(range(4 * s - 4, 4 * s))
             add_class_prompts(state.pool, state.bank, class_ids, stage=s)
             freeze_previous(state.pool, state.bank, s)
-    mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
+    else:
+        class_ids = list(range(12))
+        add_class_prompts(state.pool, state.bank, class_ids, stage=1)
+    if stage == "pretraining":
+        mask = dict.fromkeys(named_params(state), True)
+    else:
+        mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
     r = np.random.default_rng(0)
     images = r.normal(size=(64, cfg.model.image_side, cfg.model.image_side))
     labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
     return cfg, state, class_ids, mask, images, labels
 
 
-# Each step's high-water mark in float64 elements. Keeping every linear's
-# input for its pullback, or a ReLU's float output instead of its one-byte
-# mask, exceeds it; a tape that held every op's output and its pullbacks'
-# input tensors took 2,333,056 on both steps.
-TWELVE_PROMPT_NEED = {1: 1_470_464, 3: 1_413_120}
+# Each step's high-water mark in float64 elements; on the two prompt steps
+# it is what the tape keeps at the end of the forward pass. Keeping every linear's input for its pullback,
+# a ReLU's float output instead of its one-byte mask, or making linear's
+# padded input gradient or a 1 MB weight-gradient stack for the whole batch
+# at once exceeds it. A tape that held every op's output and its pullbacks'
+# input tensors took 2,333,056 on the first two steps; whole-batch linear
+# pullback temporaries took 1,470,464, 1,413,120 and 2,936,832.
+TWELVE_PROMPT_NEED = {1: 1_241_088, 3: 1_183_744, "pretraining": 2_686_976}
 
 
-@pytest.mark.parametrize("stage", [1, 3], ids=["stage-1", "desk-stage-3"])
+@pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
 def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, stage):
     needs = []
 
