@@ -172,8 +172,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
         return 1
 
 

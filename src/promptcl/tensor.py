@@ -18,8 +18,8 @@ A training loop may run its steps inside ``step_workspace()``: every
 array an op computes for one step, and every buffer its backward pass
 works in, then comes from memory the workspace keeps. An array goes back
 to the workspace, for later ops and steps to reuse, the moment nothing
-references it; the backward pass consumes the tape, so that each op's
-arrays go back as soon as its pullback has run.
+references it. The backward pass consumes the tape, in a workspace or
+not, so that each op's arrays go back as soon as its pullback has run.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ Pullback = Callable[[Array], tuple]
 
 
 class GradTape:
-    """Ordered record of executed primitives, replayed newest-first.
+    """Ordered record of executed primitives, consumed newest-first.
 
     An entry is ``(key, routes, pullback)``: the key given to the op's
     output and, per input, the key of the entry that produced it, the
@@ -92,7 +92,6 @@ class _Workspace:
         self.holes: dict[int, int] = {}   # start -> end of each hole below the top
         self.starts: dict[int, int] = {}  # end -> start of the same holes
         self.lent: dict[int, tuple] = {}  # id -> (weakref to a live buffer, its offset or -1, its length)
-        self.replayed = False
 
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
         n = math.prod(shape)
@@ -151,7 +150,6 @@ class _Workspace:
             self.holes.clear()
             self.starts.clear()
         self.need = self.top + self.spill
-        self.replayed = False
 
 
 _WORKSPACE: _Workspace | None = None
@@ -267,20 +265,11 @@ class Tensor:
 
     # -- unary / shape ops as methods ---------------------------------
 
-    def exp(self):
-        return exp(self)
-
     def log(self):
         return log(self)
 
     def sigmoid(self):
         return sigmoid(self)
-
-    def relu(self):
-        return maximum(self, 0.0)
-
-    def maximum(self, floor: float):
-        return maximum(self, floor)
 
     def clamp(self, lo: float, hi: float):
         return clamp(self, lo, hi)
@@ -411,11 +400,6 @@ def negate(a: Tensor) -> Tensor:
     return _record((a,), -a.data, lambda g: (-g,))
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record((a,), out, lambda g: (g * out,))
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError(f"log: input contains non-positive values (min {a.data.min()!r})")
@@ -434,12 +418,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
         return (g * exponent * ad ** (exponent - 1.0),)
 
     return _record((a,), out, pullback)
-
-
-def maximum(a: Tensor, floor: float) -> Tensor:
-    floor = float(floor)
-    ad = a.data
-    return _record((a,), np.maximum(ad, floor), lambda g: (g * (ad > floor),))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -532,44 +510,22 @@ def _normalize_axis(op: str, axis: int, ndim: int) -> int:
     return axis % ndim
 
 
+def _spread(g: Array, ax: int | None, shape: tuple[int, ...]) -> Array:
+    """A reduction's adjoint broadcast back over the axis it removed (every axis for None)."""
+    return np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape)
+
+
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    shape = a.shape
-    if axis is None:
-        out = a.data.sum()
-
-        def pullback(g):
-            return (np.broadcast_to(g, shape),)
-
-    else:
-        ax = _normalize_axis("sum", axis, a.ndim)
-        out = a.data.sum(axis=ax)
-
-        def pullback(g):
-            return (np.broadcast_to(np.expand_dims(g, ax), shape),)
-
-    return _record((a,), out, pullback)
+    ax, shape = None if axis is None else _normalize_axis("sum", axis, a.ndim), a.shape
+    return _record((a,), a.data.sum(axis=ax), lambda g: (_spread(g, ax, shape),))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     if a.size == 0:
         raise ValueError("mean: cannot reduce an empty tensor")
-    shape = a.shape
-    if axis is None:
-        n = a.size
-        out = a.data.mean()
-
-        def pullback(g):
-            return (np.broadcast_to(g / n, shape),)
-
-    else:
-        ax = _normalize_axis("mean", axis, a.ndim)
-        n = a.shape[ax]
-        out = a.data.mean(axis=ax)
-
-        def pullback(g):
-            return (np.broadcast_to(np.expand_dims(g / n, ax), shape),)
-
-    return _record((a,), out, pullback)
+    ax, shape = None if axis is None else _normalize_axis("mean", axis, a.ndim), a.shape
+    n = a.size if ax is None else shape[ax]
+    return _record((a,), a.data.mean(axis=ax), lambda g: (_spread(g / n, ax, shape),))
 
 
 def transpose_last(a: Tensor) -> Tensor:
@@ -938,12 +894,14 @@ def backward(root: Tensor) -> None:
 
     The root must hold a single element. Adjoints are routed by the keys
     the tape entries hold (see ``GradTape``), so a recorded tensor the
-    caller dropped before this call still passes its adjoint on. Outside a
-    step workspace the tape is replayed, so a repeated call accumulates
-    again. Inside one it is consumed: each entry is dropped before its
-    pullback runs, so that the arrays its pullback holds (only those it
-    reads: a ReLU's one-byte mask, not its output) go back once that has
-    run, and a second call raises.
+    caller dropped before this call still passes its adjoint on. The tape
+    is consumed, inside a step workspace or outside one: each entry is
+    dropped before its pullback runs, so that the arrays its pullback holds
+    (only those it reads: a ReLU's one-byte mask, not its output) go back
+    once that has run. At the end the tape is cleared, so a tensor recorded
+    before this call and used after it takes a gradient as a leaf does,
+    and a second call on a root whose tape was consumed or reset raises.
+    A root no op recorded (as under ``no_grad``) reaches no leaf.
 
     A pullback may overwrite its ``g`` exactly when ``g`` is writeable: a
     returned ``g``, or a view of it, may serve several inputs, so it is
@@ -951,17 +909,13 @@ def backward(root: Tensor) -> None:
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
+    if 0 < root.key < _TAPE._first:
+        raise ValueError("backward: the tape that recorded this root was consumed or reset "
+                         "(backward called twice?)")
     adjoint = {root.key: np.ones_like(root.data)}
-    if _WORKSPACE is None:
-        for entry in reversed(_TAPE._entries):
-            _pull(*entry, adjoint)
-        return
-    if _WORKSPACE.replayed:
-        raise ValueError("backward: in a step workspace the tape is replayed once, "
-                         "after the reset_tape() that began the step (already replayed?)")
-    _WORKSPACE.replayed = True
     while _TAPE:
         _pull(*_TAPE._entries.pop(), adjoint)
+    _TAPE.clear()  # not reset_tape(): the step's high-water mark stands
 
 
 def _pull(key: int, routes: tuple[int | Tensor | None, ...], pullback: Pullback,

@@ -3,8 +3,8 @@
 Everything here is written as a stand-alone reference: naive loops and
 textbook formulas, no imports from the package's own metric or autodiff
 internals beyond the public Tensor entry points they are meant to
-cross-check, and the tape's ``_record``, through which the unfused
-``softmax`` and ``layer_norm`` ops below put their literal pullbacks on it.
+cross-check, and the tape's ``_record``, through which ``exp``, ``maximum``
+and the unfused ``softmax`` and ``layer_norm`` below put their pullbacks on it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def gradcheck(make_scalar, param: Tensor, eps: float = 1e-5, tol: float = 1e-4) 
     return scaled_max_error(analytic, numeric)
 
 
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return tensor._record((a,), out, lambda g: (g * out,))
+
+
+def maximum(a: Tensor, floor: float) -> Tensor:
+    ad, floor = a.data, float(floor)
+    return tensor._record((a,), np.maximum(ad, floor), lambda g: (g * (ad > floor),))
+
+
 # -- unfused references for the fused tensor ops ---------------------------
 #
 # Each builds the chain of primitive ops that the fused op replaced; the
@@ -112,7 +122,7 @@ def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None, relu=False)
     out = x @ w + b
     if residual is not None:
         out = out + residual
-    return out.relu() if relu else out
+    return maximum(out, 0.0) if relu else out
 
 
 def reference_layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -222,6 +222,17 @@ def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_size_no_machine_can_hold_gives_one_error_line(dataset, tmp_path):
+    # The first array this config asks for, the (16, 10**16) float64 patch
+    # projection, is 1.28e18 bytes: more than any 64-bit address space maps,
+    # so the request is refused at once whatever the overcommit policy.
+    conf = tmp_path / "huge.conf"
+    conf.write_text(RUN_CONF.format(dataset=dataset[0].parents[1], out_dir=tmp_path / "runs")
+                    + "embed_dim = 10000000000000000\nheads = 1\n")
+    assert_one_error_line(*run_cli(["run", "--config", str(conf)]), "(16, 10000000000000000)")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--stamp-side", "0"], "stamp_side"),
     (["--train", "-5"], "n_train"),

@@ -164,14 +164,18 @@ def test_a_relu_linear_leaves_a_shared_or_read_only_adjoint_alone(monkeypatch, c
     assert grads[0] == grads[1]
 
 
-def test_backward_replays_a_step_only_once_inside_the_workspace():
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_backward_consumes_a_step_only_once(pooled):
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    with step_workspace():
+    with step_workspace() if pooled else contextlib.nullcontext():
         loss = linear(x, Tensor(np.ones((3, 1))), Tensor(np.zeros(1))).sum()
         backward(loss)
-        with pytest.raises(ValueError, match="already replayed"):
+        with pytest.raises(ValueError, match="called twice"):
             backward(loss)
+        unrun = linear(x, Tensor(np.ones((3, 1))), Tensor(np.zeros(1))).sum()
         reset_tape()
+        with pytest.raises(ValueError, match="consumed or reset"):
+            backward(unrun)
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -420,6 +424,19 @@ def test_a_tensor_recorded_before_reset_tape_takes_a_gradient_after_it_as_a_leaf
         reset_tape()
     assert np.array_equal(y.grad, 2.0 * y.data)
     assert x.grad is None
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "workspace"])
+def test_after_backward_the_tape_is_empty_and_a_tensor_recorded_before_it_takes_a_gradient_as_a_leaf_does(pooled):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with step_workspace() if pooled else contextlib.nullcontext():
+        y = x * 2.0  # recorded on the tape that the first backward consumes
+        backward((y * 3.0).sum())
+        assert len(active_tape()) == 0
+        backward((y * y).sum())
+        reset_tape()
+    assert np.array_equal(y.grad, 2.0 * y.data)
+    assert np.array_equal(x.grad, np.full((2, 3), 6.0))
 
 
 def dying_tensors_step():
