@@ -31,8 +31,6 @@ from .datagen import (
 )
 from .losses import AslConfig, asl_loss, mask_to_task
 from .metrics import (
-    AccuracyMatrix,
-    SessionMetrics,
     average_precision,
     cf1_of1,
     forgetting,
@@ -43,7 +41,6 @@ from .model import ModelState, build_model, forward_logits, named_params, predic
 from .prompts import (
     ClassifierBank,
     PromptPool,
-    SemanticInit,
     add_class_prompts,
     classify,
     freeze_previous,

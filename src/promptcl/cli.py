@@ -57,9 +57,11 @@ def _cmd_pretrain(args) -> int:
     dataset = load_dataset(values["pretrain_dataset"])
     state = build_model(cfg.model, use_adapters=False)
     stats = simulate_pretraining(state, dataset, cfg)
-    out_dir = _resolve_out_dir(args.out_dir, values["out_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    path = args.out or os.path.join(out_dir, "backbone.npz")
+    path = args.out
+    if not path:
+        out_dir = _resolve_out_dir(args.out_dir, values["out_dir"])
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "backbone.npz")
     save_checkpoint(path, state)
     print(f"pretrained backbone for {stats['steps']} steps, saved to {path}")
     return 0

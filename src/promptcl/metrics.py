@@ -8,8 +8,6 @@ scores gives for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -96,45 +94,3 @@ def forgetting(matrix) -> float:
         best = max(rows[t][task] for t in range(task, n))
         drops.append(best - rows[n - 1][task])
     return float(np.mean(drops))
-
-
-@dataclass
-class SessionMetrics:
-    """Evaluation snapshot after one incremental stage."""
-
-    session: int
-    class_ids: list[int]
-    per_class_ap_by_id: dict[int, float]
-    map: float
-    cf1: float
-    of1: float
-
-    def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "class_ids": list(self.class_ids),
-            "per_class_ap": {str(k): v for k, v in sorted(self.per_class_ap_by_id.items())},
-            "map": self.map,
-            "cf1": self.cf1,
-            "of1": self.of1,
-        }
-
-
-@dataclass
-class AccuracyMatrix:
-    """Lower-triangular per-task score history across stages."""
-
-    rows: list[list[float]] = field(default_factory=list)
-
-    def add_row(self, row) -> None:
-        row = [float(v) for v in row]
-        if len(row) != len(self.rows) + 1:
-            raise ValueError(
-                f"AccuracyMatrix: row of length {len(row)} after {len(self.rows)} rows"
-            )
-        if any(not 0.0 <= v <= 1.0 for v in row):
-            raise ValueError(f"AccuracyMatrix: scores outside [0, 1]: {row}")
-        self.rows.append(row)
-
-    def forgetting(self) -> float:
-        return forgetting(self.rows)

@@ -36,14 +36,6 @@ class HeadEntry:
     stage_added: int = 1
 
 
-@dataclass
-class SemanticInit:
-    """Per-class embedding vectors loaded from a text file."""
-
-    vectors: dict[int, np.ndarray]
-    dim: int
-
-
 class _ClassEntries:
     """Ordered per-class entries sharing a width and an init seed.
 
@@ -138,7 +130,7 @@ def add_class_prompts(
     bank: ClassifierBank,
     class_ids,
     stage: int,
-    semantic: SemanticInit | None = None,
+    semantic: dict[int, np.ndarray] | None = None,
 ) -> None:
     """Register new classes: one trainable prompt and one head each.
 
@@ -155,15 +147,15 @@ def add_class_prompts(
     if set(bank.class_ids) != existing:
         raise ValueError("add_class_prompts: pool and bank class sets diverged")
 
-    if semantic is not None:
-        missing = [cid for cid in new_ids if cid not in semantic.vectors]
+    if semantic is not None and new_ids:
+        missing = [cid for cid in new_ids if cid not in semantic]
         if missing:
             raise ValueError(f"add_class_prompts: no embedding row for classes {missing}")
-        proj = semantic_projection(semantic.dim, pool.dim, pool.seed)
+        proj = semantic_projection(semantic[new_ids[0]].size, pool.dim, pool.seed)
 
     for cid in new_ids:
         if semantic is not None:
-            vec = proj @ semantic.vectors[cid]
+            vec = proj @ semantic[cid]
         else:
             vec = normal_init(seeded_rng(pool.seed, "prompt", cid), (pool.dim,), PROMPT_STD)
         pool.add(cid, stage, vector=vec)
@@ -223,8 +215,8 @@ def orthogonality_penalty(pool: PromptPool) -> Tensor:
     return (off * off).sum()
 
 
-def load_semantic_embeddings(path) -> SemanticInit:
-    """Parse a tab-separated embedding table.
+def load_semantic_embeddings(path) -> dict[int, np.ndarray]:
+    """Parse a tab-separated embedding table into ``{class_id: vector}``.
 
     One row per class: ``class_id<TAB>v1,v2,...,vD`` with a shared D across
     rows. Raises with the offending 1-based line number on malformed rows,
@@ -269,4 +261,4 @@ def load_semantic_embeddings(path) -> SemanticInit:
         lines_seen[cid] = lineno
     if not vectors:
         raise ValueError(f"{path}: no embedding rows found")
-    return SemanticInit(vectors=vectors, dim=int(dim))
+    return vectors

@@ -610,6 +610,8 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
 # forward and pullback run the same NumPy expressions on operands of the
 # same memory layout, and an input read through several slices gets its
 # adjoint exactly as the chain's sum of zero-padded slice gradients gave it.
+# Only for operands that do not alias: with q, k and v one tensor, the
+# attention adjoint sums gq + gk + gv in another order than the chain.
 
 
 def _write_slice(buf: Array, index: tuple, part: Array, alone: bool) -> None:

@@ -20,7 +20,7 @@ from .adapters import compute_trainable_mask, trainable_param_count
 from .checkpoint import file_digest, load_checkpoint, params_digest, save_checkpoint
 from .datagen import Dataset
 from .losses import asl_loss, mask_to_task
-from .metrics import AccuracyMatrix, SessionMetrics, cf1_of1, per_class_ap
+from .metrics import cf1_of1, forgetting, per_class_ap
 from .model import ModelState, build_model, forward_logits, named_params, predict_probs
 from .prompts import (
     ClassifierBank,
@@ -173,8 +173,9 @@ def evaluate_session(state: ModelState, dataset: Dataset, stream: TaskStream, up
                      threshold: float = 0.5, batch_size: int = 64):
     """Score the full test split over all classes learned so far.
 
-    Returns the session metrics plus the per-task mean-AP row that feeds
-    the accuracy matrix.
+    Returns the session's report record (``session``, ``class_ids``,
+    ``per_class_ap`` with ascending class ids as string keys, ``map``,
+    ``cf1``, ``of1``) and its per-task mean-AP ``accuracy_matrix`` row.
     """
     learned = stream.cumulative_ids(upto_stage)
     if state.bank.class_ids != learned:
@@ -189,21 +190,21 @@ def evaluate_session(state: ModelState, dataset: Dataset, stream: TaskStream, up
         raise ValueError("evaluate_session: no class has a positive test label")
     ap_by_id = {learned[col]: ap for col, ap in ap_by_col.items()}
     cf1, of1 = cf1_of1(probs, labels, threshold)
-    metrics = SessionMetrics(
-        session=upto_stage,
-        class_ids=list(learned),
-        per_class_ap_by_id=ap_by_id,
-        map=float(np.mean(list(ap_by_col.values()))),
-        cf1=cf1,
-        of1=of1,
-    )
+    record = {
+        "session": upto_stage,
+        "class_ids": list(learned),
+        "per_class_ap": {str(k): v for k, v in sorted(ap_by_id.items())},
+        "map": float(np.mean(list(ap_by_col.values()))),
+        "cf1": cf1,
+        "of1": of1,
+    }
     row = []
     for task in stream.tasks[:upto_stage]:
         aps = [ap_by_id[c] for c in task.class_ids if c in ap_by_id]
         if not aps:
             raise ValueError(f"evaluate_session: task {task.index} has no scoreable class")
         row.append(float(np.mean(aps)))
-    return metrics, row
+    return record, row
 
 
 def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = None,
@@ -222,7 +223,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
         if not cfg.semantic_path:
             raise ValueError("run_benchmark: p2l_ca_plus needs a semantic embedding table")
         semantic = load_semantic_embeddings(cfg.semantic_path)
-        missing = [c for c in range(dataset.n_classes) if c not in semantic.vectors]
+        missing = [c for c in range(dataset.n_classes) if c not in semantic]
         if missing:
             raise ValueError(f"run_benchmark: embedding table lacks classes {missing}")
     stream = build_task_stream(dataset, cfg.base_classes, cfg.inc_classes)
@@ -254,7 +255,7 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
         out_dir = tmp.name
     os.makedirs(out_dir, exist_ok=True)
 
-    matrix = AccuracyMatrix()
+    matrix = []
     sessions = []
     freeze_audit = []
     stage_seconds = []
@@ -286,10 +287,9 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
             save_checkpoint(ckpt_path, state)
             state = load_checkpoint(ckpt_path)
 
-            metrics, row = evaluate_session(state, dataset, stream, stage,
-                                            cfg.threshold, cfg.batch_size)
-            matrix.add_row(row)
-            record = metrics.to_dict()
+            record, row = evaluate_session(state, dataset, stream, stage,
+                                           cfg.threshold, cfg.batch_size)
+            matrix.append(row)
             record.update({
                 "new_class_ids": list(task.class_ids),
                 "n_train_samples": int(task.train_indices.size),
@@ -312,12 +312,12 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
             },
             "pretrained": pretrain is not None or backbone_from is not None,
             "sessions": sessions,
-            "accuracy_matrix": matrix.rows,
+            "accuracy_matrix": matrix,
             "last_map": sessions[-1]["map"],
             "avg_map": float(np.mean([s["map"] for s in sessions])),
             "final_cf1": sessions[-1]["cf1"],
             "final_of1": sessions[-1]["of1"],
-            "forgetting": matrix.forgetting(),
+            "forgetting": forgetting(matrix),
             "freeze_audit": freeze_audit,
             "rules": {
                 "positive_free_classes": "skipped",

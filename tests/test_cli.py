@@ -226,6 +226,18 @@ def test_env_var_overrides_out_dir(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "ignored-flag-target").exists()
 
 
+def test_pretrain_out_makes_no_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("PROMPTCL_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    data = gen_micro_dataset(tmp_path / "data", classes=6, train=60, test=40)
+    conf = tmp_path / "p.conf"
+    conf.write_text(MICRO_CONF.format(dataset=data, out_dir="")
+                    + f"pretrain_dataset = {data}\npretrain_epochs = 1\n")
+    assert main(["pretrain", "--config", str(conf), "--out", "bb.npz"]) == 0
+    assert "saved to bb.npz" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bb.npz", "data", "p.conf"]
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # The body of the launcher that pip writes for a `module:attr` console script.

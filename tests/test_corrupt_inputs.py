@@ -222,15 +222,26 @@ def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
     assert not (tmp_path / "runs").exists()
 
 
-def test_a_size_no_machine_can_hold_gives_one_error_line(dataset, tmp_path):
+@pytest.mark.parametrize("command", ["pretrain", "run"])
+def test_a_size_no_machine_can_hold_gives_one_error_line(dataset, tmp_path, command):
     # The first array this config asks for, the (16, 10**16) float64 patch
     # projection, is 1.28e18 bytes: more than any 64-bit address space maps,
     # so the request is refused at once whatever the overcommit policy.
+    data = dataset[0].parents[1]
     conf = tmp_path / "huge.conf"
-    conf.write_text(RUN_CONF.format(dataset=dataset[0].parents[1], out_dir=tmp_path / "runs")
-                    + "embed_dim = 10000000000000000\nheads = 1\n")
-    assert_one_error_line(*run_cli(["run", "--config", str(conf)]), "(16, 10000000000000000)")
+    conf.write_text(RUN_CONF.format(dataset=data, out_dir=tmp_path / "runs")
+                    + f"pretrain_dataset = {data}\nembed_dim = 10000000000000000\nheads = 1\n")
+    assert_one_error_line(*run_cli([command, "--config", str(conf)]), "(16, 10000000000000000)")
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_dataset_no_machine_can_hold_gives_one_error_line(tmp_path):
+    # 10**17 training images with 12 classes ask first for a 1.2e18-byte
+    # label array, again beyond any 64-bit address space.
+    out = tmp_path / "ds"
+    rc, stdout, err = run_cli(["gen-data", "--out", str(out), "--train", "100000000000000000"])
+    assert_one_error_line(rc, stdout, err, "(100000000000000000, 12)")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import ap_reference, f1_counts, forgetting_reference
 from promptcl import (
-    AccuracyMatrix,
     average_precision,
     cf1_of1,
     forgetting,
@@ -175,14 +174,3 @@ def test_forgetting_matches_reference_on_random_matrices():
         got = forgetting(rows)
         assert abs(got - forgetting_reference(rows)) <= 1e-12
         assert got >= 0.0
-
-
-def test_accuracy_matrix_guards_shape_and_range():
-    m = AccuracyMatrix()
-    m.add_row([0.9])
-    with pytest.raises(ValueError):
-        m.add_row([0.8])  # needs two entries now
-    with pytest.raises(ValueError):
-        m.add_row([0.8, 1.2])
-    m.add_row([0.85, 0.88])
-    assert abs(m.forgetting() - 0.05) <= 1e-15

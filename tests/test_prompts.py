@@ -15,7 +15,7 @@ from promptcl import (
     load_semantic_embeddings,
     orthogonality_penalty,
 )
-from promptcl.prompts import SemanticInit, semantic_projection
+from promptcl.prompts import semantic_projection
 
 
 def fresh(dim=4, seed=0):
@@ -180,16 +180,27 @@ def test_semantic_projection_identity_and_isometry():
 
 def test_semantic_init_uses_projected_vectors():
     pool, bank = fresh(dim=3)
-    emb = SemanticInit(vectors={0: np.array([0.5, -1.0, 2.0])}, dim=3)
+    emb = {0: np.array([0.5, -1.0, 2.0])}
     add_class_prompts(pool, bank, [0], stage=1, semantic=emb)
     assert np.allclose(pool.entry(0).vector.data, [0.5, -1.0, 2.0], atol=1e-15)
 
 
 def test_semantic_init_validates_missing_rows():
     pool, bank = fresh(dim=3)
-    emb = SemanticInit(vectors={0: np.zeros(3)}, dim=3)
+    emb = {0: np.zeros(3)}
     with pytest.raises(ValueError):
         add_class_prompts(pool, bank, [0, 1], stage=1, semantic=emb)
+
+
+def test_semantic_init_takes_the_table_width_from_its_vectors():
+    pool, bank = fresh(dim=3)
+    emb = {4: np.arange(5.0), 9: np.ones(5)}
+    add_class_prompts(pool, bank, [], stage=1, semantic={})  # nothing to add, nothing to index
+    assert pool.class_ids == [] and bank.class_ids == []
+    add_class_prompts(pool, bank, [9, 4], stage=1, semantic=emb)
+    proj = semantic_projection(5, 3, pool.seed)
+    for cid in (4, 9):
+        assert np.array_equal(pool.entry(cid).vector.data, proj @ emb[cid])
 
 
 def test_load_semantic_embeddings_round_trip(tmp_path):
@@ -200,8 +211,8 @@ def test_load_semantic_embeddings_round_trip(tmp_path):
         lines.append(f"{cid}\t{values}")
     path.write_text("\n".join(lines) + "\n")
     emb = load_semantic_embeddings(path)
-    assert emb.dim == 6 and len(emb.vectors) == 20
-    assert np.allclose(emb.vectors[19][0], 1.9, atol=1e-12)
+    assert sorted(emb) == list(range(20)) and all(v.shape == (6,) for v in emb.values())
+    assert np.allclose(emb[19][0], 1.9, atol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from promptcl import (
     build_task_stream,
     cosine_lr,
     evaluate_session,
+    forgetting,
     forward_logits,
     generate_dataset,
     load_checkpoint,
@@ -268,10 +269,12 @@ def test_evaluate_session_shape_and_order_guard():
     state = build_model(cfg.model)
     stream = build_task_stream(ds, 2, 2)
     add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
-    metrics, row = evaluate_session(state, ds, stream, upto_stage=1)
-    assert metrics.session == 1 and len(row) == 1
-    assert 0.0 <= metrics.map <= 1.0
-    assert set(metrics.per_class_ap_by_id) <= set(stream.tasks[0].class_ids)
+    record, row = evaluate_session(state, ds, stream, upto_stage=1)
+    assert list(record) == ["session", "class_ids", "per_class_ap", "map", "cf1", "of1"]
+    assert record["session"] == 1 and len(row) == 1
+    assert 0.0 <= record["map"] <= 1.0
+    keys = list(record["per_class_ap"])
+    assert keys == sorted(keys, key=int) and {int(k) for k in keys} <= set(stream.tasks[0].class_ids)
     with pytest.raises(ValueError):
         evaluate_session(state, ds, stream, upto_stage=2)  # classes not added yet
 
@@ -439,6 +442,20 @@ def test_fine_tuning_leaves_the_donor_backbone_alone():
     assert all(s["trainable_params"] > 1000 for s in report.payload["sessions"])
     assert params_digest(named_params(donor)) == before
     assert donor.backbone.frozen is True
+
+
+def test_report_sessions_are_evaluate_session_records(tmp_path):
+    ds = micro_dataset()
+    cfg = micro_config(epochs=1)
+    p = run_benchmark(cfg, ds, out_dir=str(tmp_path)).payload
+    stream = build_task_stream(ds, cfg.base_classes, cfg.inc_classes)
+    final = load_checkpoint(tmp_path / "stage_03.npz")
+    record, row = evaluate_session(final, ds, stream, 3, cfg.threshold, cfg.batch_size)
+    training_fields = ("new_class_ids", "n_train_samples", "trainable_params", "steps", "per_task_map")
+    last = {k: v for k, v in p["sessions"][-1].items() if k not in training_fields}
+    assert last == record and p["sessions"][-1]["per_task_map"] == row
+    assert p["accuracy_matrix"] == [s["per_task_map"] for s in p["sessions"]]
+    assert p["forgetting"] == forgetting(p["accuracy_matrix"])
 
 
 def test_benchmark_writes_stage_checkpoints(tmp_path):
