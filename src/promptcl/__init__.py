@@ -30,13 +30,7 @@ from .datagen import (
     save_dataset,
 )
 from .losses import AslConfig, asl_loss, mask_to_task
-from .metrics import (
-    average_precision,
-    cf1_of1,
-    forgetting,
-    map_score,
-    per_class_ap,
-)
+from .metrics import average_precision, cf1_of1, forgetting, per_class_ap
 from .model import ModelState, build_model, forward_logits, named_params, predict_probs
 from .prompts import (
     ClassifierBank,

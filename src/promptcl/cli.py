@@ -15,7 +15,7 @@ from dataclasses import fields
 from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import CONVERTERS, build_run_config, parse_config_file, print_config
+from .config import CONVERTERS, build_run_config, from_values, parse_config_file, print_config
 from .datagen import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
 from .model import build_model
 from .protocol import METHODS
@@ -35,13 +35,11 @@ def _resolve_out_dir(flag_value, config_value=None):
 
 
 def _cmd_gen_data(args) -> int:
-    def read(cls, **given):
-        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}, **given)
-
+    values = vars(args)
     # shift only when a pixel transform is asked for: --cell-side alone changes nothing
     plain = ShiftParams()
-    shifted = any(getattr(args, k) != getattr(plain, k) for k in ("contrast", "offset", "cell_perm_seed"))
-    spec = read(SyntheticSpec, shift=read(ShiftParams) if shifted else None)
+    shifted = any(values[k] != getattr(plain, k) for k in ("contrast", "offset", "cell_perm_seed"))
+    spec = from_values(SyntheticSpec, values, shift=from_values(ShiftParams, values) if shifted else None)
     out = _resolve_out_dir(args.out)
     ds = generate_dataset(spec, args.seed, out_dir=out)
     print(f"wrote {ds.train_images.shape[0]} train / {ds.test_images.shape[0]} test samples "

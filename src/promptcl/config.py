@@ -1,7 +1,8 @@
 """Flat key = value run configuration files.
 
-The format is one assignment per line, ``#`` comments allowed. Every key
-must be in the schema below; parse errors carry the 1-based line number.
+The format is one assignment per line, ``#`` comments allowed, read by
+``seeds.text_lines``. Every key must be in the schema below; parse errors
+carry the 1-based line number.
 
 The schema is derived from the fields of ``ModelConfig``, ``AslConfig``
 and ``RunConfig``: a field with ``help`` metadata declares a key (named by
@@ -17,6 +18,7 @@ from typing import get_type_hints
 
 from .losses import AslConfig
 from .protocol import RunConfig
+from .seeds import text_lines
 from .vit import ModelConfig
 
 # key -> (default, help) of the inputs and outputs the CLI resolves itself
@@ -62,24 +64,17 @@ def default_config() -> dict:
 
 
 def _strip_inline_comment(line: str) -> str:
-    """Drop a ``#`` comment when it starts the line or follows whitespace."""
+    """Drop a ``#`` comment that follows whitespace."""
     for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1].isspace()):
+        if ch == "#" and line[i - 1].isspace():
             return line[:i].strip()
     return line
 
 
 def parse_config_file(path) -> dict:
     values = default_config()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_inline_comment(raw.strip())
-        if not line:
-            continue
+    for lineno, raw in text_lines(path):
+        line = _strip_inline_comment(raw)
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
@@ -103,9 +98,12 @@ def print_config() -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_run_config(values: dict) -> RunConfig:
-    def read(cls, **nested):
-        # a field without help reads a key declared elsewhere: ModelConfig.seed reads seed
-        return cls(**{f.name: values[_key(f)] for f in fields(cls) if f.name not in nested}, **nested)
+def from_values(cls, values: dict, **nested):
+    """``cls`` with each field not in ``nested`` read from ``values`` under its key."""
+    return cls(**{f.name: values[_key(f)] for f in fields(cls) if f.name not in nested}, **nested)
 
-    return read(RunConfig, model=read(ModelConfig), asl=read(AslConfig))
+
+def build_run_config(values: dict) -> RunConfig:
+    # a field without help reads a key declared elsewhere: ModelConfig.seed reads seed
+    return from_values(RunConfig, values, model=from_values(ModelConfig, values),
+                       asl=from_values(AslConfig, values))

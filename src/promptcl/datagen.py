@@ -21,24 +21,12 @@ declared shape matches what the directory claims to be.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import get_type_hints
 
 import numpy as np
 
-from .seeds import seeded_rng
-
-
-def _check_fields(spec, sizes) -> None:
-    """Reject a non-finite float field of ``spec`` and a field in ``sizes`` below 1."""
-    for name, hint in get_type_hints(type(spec)).items():
-        value = getattr(spec, name)
-        if hint is float and not math.isfinite(value):
-            raise ValueError(f"{type(spec).__name__}: {name} must be finite, got {value}")
-        if name in sizes and value < 1:
-            raise ValueError(f"{type(spec).__name__}: {name} must be >= 1, got {value}")
+from .seeds import check_fields, seeded_rng, text_lines
 
 
 @dataclass
@@ -57,7 +45,7 @@ class ShiftParams:
     cell_side: int = 4
 
     def __post_init__(self):
-        _check_fields(self, ("cell_side",))
+        check_fields(self, ("cell_side",))
         if self.contrast == 0.0:
             raise ValueError("ShiftParams: contrast of zero is not invertible")
 
@@ -77,7 +65,7 @@ class SyntheticSpec:
     shift: ShiftParams | None = None
 
     def __post_init__(self):
-        _check_fields(self, ("image_side", "stamp_side", "n_train", "n_test"))
+        check_fields(self, ("image_side", "stamp_side", "n_train", "n_test"))
         if self.noise_sigma < 0:
             raise ValueError(f"SyntheticSpec: noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.image_side % self.stamp_side != 0:
@@ -92,6 +80,14 @@ class SyntheticSpec:
         if self.max_labels > self.n_cells:
             raise ValueError(
                 f"SyntheticSpec: {self.max_labels} stamps cannot fit the {self.n_cells}-cell grid"
+            )
+        # every class needs min_positive of the smaller split's images and its n * max_labels label slots
+        n = min(self.n_train, self.n_test)
+        most = min(n, n * self.max_labels // self.n_classes)
+        if self.min_positive > most:
+            raise ValueError(
+                f"SyntheticSpec: min_positive must be <= {most} for {n} images of at most "
+                f"{self.max_labels} of {self.n_classes} classes, got {self.min_positive}"
             )
 
     @property
@@ -302,15 +298,7 @@ def load_dataset(path: str) -> Dataset:
     if not os.path.isfile(manifest):
         raise ValueError(f"load_dataset: no manifest.txt under {path}")
     fields: dict[str, str] = {}
-    try:
-        with open(manifest, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{manifest}: not UTF-8 text: {err}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(manifest):
         key, _, value = line.partition(" ")
         if not value:
             raise ValueError(f"{manifest}: line {lineno}: expected 'key value'")

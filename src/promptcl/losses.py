@@ -13,11 +13,11 @@ the columns to the classes of the task being trained before calling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeds import check_fields
 from .tensor import Tensor
 
 
@@ -28,9 +28,7 @@ class AslConfig:
     clamp_eps: float = field(default=1e-7, metadata={"help": "probability clamp for the loss"})
 
     def __post_init__(self):
-        for name in ("gamma_pos", "gamma_neg", "clamp_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"AslConfig: {name} must be finite, got {getattr(self, name)}")
+        check_fields(self)
         if self.gamma_pos < 0 or self.gamma_neg < 0:
             raise ValueError(
                 f"AslConfig: focusing powers must be non-negative, got ({self.gamma_pos}, {self.gamma_neg})"

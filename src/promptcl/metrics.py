@@ -41,14 +41,6 @@ def per_class_ap(scores, labels) -> dict[int, float]:
     return out
 
 
-def map_score(scores, labels) -> float:
-    """Mean AP over the classes that have at least one positive."""
-    aps = per_class_ap(scores, labels)
-    if not aps:
-        raise ValueError("map_score: every class is positive-free")
-    return float(np.mean(list(aps.values())))
-
-
 def cf1_of1(scores, labels, threshold: float = 0.5) -> tuple[float, float]:
     """Macro (per-class) and micro (pooled) F1 after thresholding.
 

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import normal_init, seeded_rng
+from .seeds import normal_init, seeded_rng, text_lines
 from .tensor import Tensor, concat, reshape, row_readout
-
-PROMPT_STD = 0.02
 
 
 @dataclass
@@ -134,7 +132,7 @@ def add_class_prompts(
 ) -> None:
     """Register new classes: one trainable prompt and one head each.
 
-    Prompts are N(0, 0.02^2) draws, or projected from ``semantic`` when it is
+    Prompts are N(0, INIT_STD^2) draws, or projected from ``semantic`` when it is
     given (heads are always drawn). New entries are appended in ascending class-id order.
     """
     new_ids = sorted(int(c) for c in class_ids)
@@ -157,9 +155,9 @@ def add_class_prompts(
         if semantic is not None:
             vec = proj @ semantic[cid]
         else:
-            vec = normal_init(seeded_rng(pool.seed, "prompt", cid), (pool.dim,), PROMPT_STD)
+            vec = normal_init(seeded_rng(pool.seed, "prompt", cid), (pool.dim,))
         pool.add(cid, stage, vector=vec)
-        bank.add(cid, stage, weight=normal_init(seeded_rng(bank.seed, "head", cid), (bank.dim,), PROMPT_STD))
+        bank.add(cid, stage, weight=normal_init(seeded_rng(bank.seed, "head", cid), (bank.dim,)))
 
 
 def freeze_previous(
@@ -225,15 +223,7 @@ def load_semantic_embeddings(path) -> dict[int, np.ndarray]:
     vectors: dict[int, np.ndarray] = {}
     lines_seen: dict[int, int] = {}
     dim: int | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'class_id<TAB>values'")

@@ -11,12 +11,12 @@ learned so far.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .losses import AslConfig
+from .seeds import check_fields
 from .vit import ModelConfig
 
 METHODS = ("p2l_ca", "p2l_ca_plus", "fine_tuning")
@@ -32,7 +32,6 @@ class Task:
 @dataclass
 class TaskStream:
     tasks: list[Task]
-    n_classes: int
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -71,7 +70,7 @@ def build_task_stream(dataset, base: int, inc: int) -> TaskStream:
         ids = sorted(int(order[g]) for g in group)
         present = dataset.train_labels[:, ids].sum(axis=1) > 0
         tasks.append(Task(index=i, class_ids=ids, train_indices=np.flatnonzero(present)))
-    return TaskStream(tasks=tasks, n_classes=dataset.n_classes)
+    return TaskStream(tasks=tasks)
 
 
 @dataclass
@@ -105,18 +104,11 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        for name in ("lr", "threshold", "ortho_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"RunConfig: {name} must be finite, got {getattr(self, name)}")
+        check_fields(self, ("epochs", "batch_size", "pretrain_epochs"))
         if self.method not in METHODS:
             raise ValueError(f"RunConfig: unknown method {self.method!r}, choose from {METHODS}")
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError(
-                f"RunConfig: bad optimizer settings lr={self.lr} epochs={self.epochs} "
-                f"batch_size={self.batch_size}"
-            )
-        if self.pretrain_epochs < 1:
-            raise ValueError(f"RunConfig: pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
+        if self.lr <= 0:
+            raise ValueError(f"RunConfig: lr must be > 0, got {self.lr}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"RunConfig: threshold must lie in (0, 1), got {self.threshold}")
         if self.ortho_weight < 0:

@@ -33,6 +33,7 @@ import numpy as np
 
 Array = np.ndarray
 Pullback = Callable[[Array], tuple]
+LN_EPS = 1e-5  # added to the variance in every layer norm
 
 
 class GradTape:
@@ -479,13 +480,12 @@ def _softmax_pullback(g: Array, out: Array, into: Array | None = None,
     return res
 
 
-def _normalize(x: Array, eps: float, out: Array | None = None,
-               scratch: Array | None = None) -> tuple[Array, Array]:
+def _normalize(x: Array, out: Array | None = None, scratch: Array | None = None) -> tuple[Array, Array]:
     """Last-axis standardisation ``(x - mu) * inv`` and the reciprocal deviation ``inv``."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = np.subtract(x, mu, out=out)
     var = np.multiply(xc, xc, out=scratch).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xc *= inv
     return xc, inv
 
@@ -730,7 +730,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     return _record(inputs, out, pullback)
 
 
-def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """``layer_norm(a) * gamma + beta`` with per-feature scale and shift."""
     if gamma.shape != a.shape[-1:] or beta.shape != a.shape[-1:]:
         raise ValueError(
@@ -738,7 +738,7 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
             f"the last axis of {a.shape}"
         )
     out = _empty(a.shape)
-    norm, inv = _normalize(a.data, eps, out=_empty(a.shape), scratch=out)
+    norm, inv = _normalize(a.data, out=_empty(a.shape), scratch=out)
     gd = gamma.data
     np.multiply(norm, gd, out=out)
     out += beta.data

@@ -39,9 +39,10 @@ from .tensor import backward, reset_tape, step_workspace, zero_grads
 class Adam:
     """Adam over an explicit name -> tensor map; nothing else gets state."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.params = dict(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.t = 0
@@ -87,7 +88,7 @@ def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: R
     """
     n = images.shape[0]
     if n == 0:
-        raise ValueError("training: no samples for this task")
+        raise ValueError(f"{what}: no samples for this task")
     named = named_params(state)
     try:
         for name, t in named.items():
@@ -128,8 +129,6 @@ def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: R
 
 def train_stage(state: ModelState, task: Task, dataset: Dataset, cfg: RunConfig, mask=None) -> dict:
     """Train one incremental stage on the task's image subset."""
-    if task.train_indices.size == 0:
-        raise ValueError(f"train_stage: task {task.index} has zero training samples")
     if mask is None:
         mask = compute_trainable_mask(
             task.index, state.pool, state.bank, state.adapters, state.backbone,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adapters import AdapterLayer, adapter_forward
 from .prompts import PromptPool
-from .seeds import seeded_rng, trunc_normal
+from .seeds import check_fields, seeded_rng, trunc_normal
 from .tensor import (
     Tensor,
     concat,
@@ -42,9 +42,7 @@ class ModelConfig:
     seed: int = 0  # not a file key: build_run_config passes the run's seed
 
     def __post_init__(self):
-        for name in ("heads", "image_side", "patch_side"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig: {name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, ("heads", "image_side", "patch_side"))
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.image_side % self.patch_side != 0:

@@ -210,6 +210,7 @@ def test_checkpoint_content_numpy_or_json_cannot_read_names_the_file(checkpoint,
 @pytest.mark.parametrize("command", ["pretrain", "run"])
 @pytest.mark.parametrize("line", [
     "heads = 0", "patch_side = 0", "patch_side = -4", "image_side = 0", "pretrain_epochs = 0", "pretrain_epochs = -2",
+    "epochs = 0", "batch_size = 0",
 ])
 def test_degenerate_sizes_give_one_error_line(dataset, tmp_path, command, line):
     data = dataset[0].parents[1]  # <data>/train/0003.sample
@@ -252,8 +253,11 @@ def test_a_dataset_no_machine_can_hold_gives_one_error_line(tmp_path):
     (["--shift-contrast", "nan"], "contrast"),
     (["--shift-offset", "inf"], "offset"),
     (["--noise-sigma", "-1"], "noise_sigma"),
+    # 301 positives per class exceed the 300 test images; 4 classes x 76 exceed 300 images x 1 label
+    (["--min-positive", "301"], "min_positive"),
+    (["--max-labels", "1", "--min-positive", "76"], "min_positive"),
 ], ids=["zero-stamp-side", "negative-train", "zero-cell-side", "nan-noise-sigma", "nan-shift-contrast", "inf-shift-offset",
-        "negative-noise-sigma"])
+        "negative-noise-sigma", "min-positive-above-split", "min-positive-above-label-slots"])
 def test_degenerate_dataset_specs_give_one_error_line(tmp_path, flags, field):
     out = tmp_path / "ds"
     rc, stdout, err = run_cli(["gen-data", "--out", str(out), "--classes", "4", "--image-side", "8", *flags])

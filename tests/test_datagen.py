@@ -259,5 +259,6 @@ def test_spec_shift_applies_at_generation():
 
 
 def test_coverage_failure_raises():
-    with pytest.raises(ValueError):
-        generate_dataset(small_spec(n_train=6, min_positive=5), seed=0)
+    # 6 images of 1-2 labels hold 2 positives of each of 6 classes only if every draw is a perfect cover
+    with pytest.raises(ValueError, match="could not cover every class 2 times in 6 train images"):
+        generate_dataset(small_spec(n_train=6, min_positive=2), seed=0)

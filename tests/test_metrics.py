@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ap_reference, f1_counts, forgetting_reference
-from promptcl import (
-    average_precision,
-    cf1_of1,
-    forgetting,
-    map_score,
-    per_class_ap,
-)
+from promptcl import average_precision, cf1_of1, forgetting, per_class_ap
 
 
 # -- average precision ------------------------------------------------------
@@ -68,14 +62,6 @@ def test_per_class_ap_skips_positive_free_columns():
     aps = per_class_ap(scores, labels)
     assert set(aps) == {0}
     assert aps[0] == 1.0
-
-
-def test_map_is_mean_of_included_columns():
-    scores = np.array([[0.9, 0.1, 0.5], [0.1, 0.9, 0.6]])
-    labels = np.array([[1, 0, 0], [0, 1, 0]])
-    assert map_score(scores, labels) == 1.0
-    with pytest.raises(ValueError):
-        map_score(scores, np.zeros_like(labels))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,8 @@
 """Task arithmetic, stream construction, run configuration."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from promptcl import (
     AslConfig,
     ModelConfig,
     RunConfig,
+    ShiftParams,
     SyntheticSpec,
     build_task_stream,
     generate_dataset,
@@ -119,18 +123,19 @@ def test_run_config_defaults_and_validation():
         RunConfig(ortho_weight=-0.1)
 
 
-@pytest.mark.parametrize("make, name", [
-    (lambda: RunConfig(lr=float("nan")), "lr"),
-    (lambda: RunConfig(lr=float("inf")), "lr"),
-    (lambda: RunConfig(threshold=float("nan")), "threshold"),
-    (lambda: RunConfig(ortho_weight=float("nan")), "ortho_weight"),
-    (lambda: RunConfig(ortho_weight=float("inf")), "ortho_weight"),
-    (lambda: AslConfig(gamma_neg=float("nan")), "gamma_neg"),
-    (lambda: AslConfig(gamma_pos=float("inf")), "gamma_pos"),
-])
-def test_configs_reject_non_finite_floats(make, name):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        make()
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (ModelConfig, AslConfig, RunConfig, ShiftParams, SyntheticSpec)
+    for f in fields(cls)
+    if get_type_hints(cls)[f.name] is float
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_configs_reject_non_finite_floats(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{cls.__name__}: {name} must be finite"):
+        cls(**{name: value})
 
 
 def test_run_config_round_trips_to_dict():

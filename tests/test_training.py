@@ -279,6 +279,18 @@ def test_evaluate_session_shape_and_order_guard():
         evaluate_session(state, ds, stream, upto_stage=2)  # classes not added yet
 
 
+def test_session_map_is_mean_of_the_classes_with_a_positive():
+    ds = micro_dataset()
+    stream = build_task_stream(ds, 2, 2)
+    silent = stream.tasks[0].class_ids[0]
+    ds.test_labels[:, silent] = 0
+    state = build_model(micro_config().model)
+    add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
+    record, _ = evaluate_session(state, ds, stream, upto_stage=1)
+    assert list(record["per_class_ap"]) == [str(c) for c in stream.tasks[0].class_ids if c != silent]
+    assert record["map"] == float(np.mean(list(record["per_class_ap"].values())))
+
+
 # -- checkpoints --------------------------------------------------------------
 
 
