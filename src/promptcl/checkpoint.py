@@ -22,11 +22,9 @@ from dataclasses import asdict
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .adapters import attach_adapters
-from .model import ModelState, named_params
-from .prompts import ClassifierBank, PromptPool
+from .model import ModelState, build_model, named_params
 from .tensor import Tensor
-from .vit import EncoderParams, ModelConfig
+from .vit import ModelConfig
 
 FORMAT = "promptcl-checkpoint-1"
 
@@ -110,20 +108,16 @@ def _restore(path, meta: dict, arrays: dict[str, np.ndarray]) -> ModelState:
         config = ModelConfig(**meta["config"])
     except ValueError as err:
         raise ValueError(f"load_checkpoint: {path} has malformed metadata ({err})") from None
-    backbone = EncoderParams(config)
-    backbone.frozen = bool(meta["backbone_frozen"])
-    adapters = attach_adapters(config) if meta["has_adapters"] else None
     # Every array starts at the shape the config implies; the loop below
     # checks each stored array against it and copies it in.
-    pool = PromptPool(config.embed_dim, config.seed)
-    bank = ClassifierBank(config.embed_dim, config.seed)
-    for container, records in ((pool, meta["pool"]), (bank, meta["bank"])):
+    state = build_model(config, use_adapters=meta["has_adapters"])
+    state.backbone.frozen = bool(meta["backbone_frozen"])
+    for container, records in ((state.pool, meta["pool"]), (state.bank, meta["bank"])):
         for rec in records:
             container.add(int(rec["class_id"]), int(rec["stage_added"]), frozen=bool(rec["frozen"]))
         if len(set(container.class_ids)) != len(container):
             raise ValueError(f"load_checkpoint: {path} has malformed metadata (a class is listed twice)")
 
-    state = ModelState(config, backbone, adapters, pool, bank)
     named = named_params(state)
     missing = set(named) - set(arrays)
     extra = set(arrays) - set(named)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import AdapterStack, attach_adapters
-from .prompts import ClassifierBank, PromptPool, classify
+from .prompts import ClassifierBank, PromptPool, classify, head_positions
 from .tensor import Tensor, no_grad, stable_sigmoid, step_workspace
 from .vit import EncoderParams, ModelConfig, encoder_forward
 
@@ -41,16 +41,27 @@ def named_params(state: ModelState) -> dict[str, Tensor]:
 
 
 def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
-    """Logits for the requested classes (default: all known, bank order)."""
+    """Logits for the requested classes (default: all known, bank order).
+
+    The last encoder block runs on the prompt rows the logits read: the
+    smallest range of at least two pool positions that holds every
+    requested class, since a one-row range would use matrix-vector
+    products, whose bits differ.
+    """
     if state.pool.class_ids != state.bank.class_ids:
         raise ValueError(
             f"forward_logits: pool order {state.pool.class_ids} diverged from "
             f"bank order {state.bank.class_ids}"
         )
-    if not state.pool.entries:
+    n = len(state.pool.entries)
+    if not n:
         raise ValueError("forward_logits: no classes registered yet")
-    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, patch_rows=False)
-    return classify(o_P, state.bank, class_ids)
+    picks = head_positions(state.bank, class_ids)
+    start, stop = (min(picks), max(picks) + 1) if picks else (0, n)  # classify rejects no picks
+    if stop - start < 2:  # widen a one-row read within the pool
+        start, stop = (start, stop + 1) if stop < n else (max(start - 1, 0), stop)
+    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, rows=(start, stop))
+    return classify(o_P, state.bank, class_ids, start)
 
 
 def predict_probs(state: ModelState, images, class_ids=None, batch_size: int = 64) -> np.ndarray:

@@ -175,27 +175,33 @@ def freeze_previous(
             e.frozen = True
 
 
-def classify(o_P: Tensor, bank: ClassifierBank, class_ids=None) -> Tensor:
+def head_positions(bank: ClassifierBank, class_ids=None) -> list[int]:
+    """Bank positions of ``class_ids`` in their order (default: every head)."""
+    if class_ids is None:
+        return list(range(len(bank.entries)))
+    position = {cid: i for i, cid in enumerate(bank.class_ids)}
+    try:
+        return [position[int(c)] for c in class_ids]
+    except KeyError as err:
+        raise ValueError(f"classify: no head for class {err.args[0]}") from None
+
+
+def classify(o_P: Tensor, bank: ClassifierBank, class_ids=None, start: int = 0) -> Tensor:
     """Per-class logits from the prompts' output rows.
 
-    Row ``i`` of ``o_P`` must correspond to ``bank.class_ids[i]``; pick a
-    subset of classes with ``class_ids`` (logit columns follow that order).
+    Row ``i`` of ``o_P`` must correspond to ``bank.class_ids[start + i]``:
+    ``o_P`` holds every prompt row, or from ``start`` on the prompt rows
+    the logits read. Pick a subset of classes with ``class_ids`` (logit
+    columns follow that order).
     """
     n = o_P.shape[-2]
-    if n != len(bank.entries):
+    if start + n > len(bank.entries):
         raise ValueError(
-            f"classify: {n} prompt output rows but {len(bank.entries)} classifier heads"
+            f"classify: {n} prompt output rows from position {start} but {len(bank.entries)} classifier heads"
         )
-    if class_ids is None:
-        picks = list(range(n))
-    else:
-        position = {cid: i for i, cid in enumerate(bank.class_ids)}
-        try:
-            picks = [position[int(c)] for c in class_ids]
-        except KeyError as err:
-            raise ValueError(f"classify: no head for class {err.args[0]}") from None
-    heads = [bank.entries[i] for i in picks]
-    return row_readout(o_P, picks, [e.weight for e in heads], [e.bias for e in heads])
+    positions = head_positions(bank, class_ids)
+    heads = [bank.entries[i] for i in positions]
+    return row_readout(o_P, [i - start for i in positions], [e.weight for e in heads], [e.bias for e in heads])
 
 
 def orthogonality_penalty(pool: PromptPool) -> Tensor:

@@ -172,14 +172,15 @@ def patchify(images, params: EncoderParams) -> Tensor:
 
 
 def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor,
-               rows: int | None = None) -> Tensor:
+               rows: tuple[int, int] | None = None) -> Tensor:
     """``residual`` plus multi-head self-attention over ``x``.
 
-    With ``rows``, only the first ``rows`` tokens ask queries (all tokens
-    still give keys and values), and ``residual`` has that many rows.
+    With ``rows`` = ``(start, stop)``, only the tokens ``start..stop-1``
+    ask queries (all tokens still give keys and values), and ``residual``
+    has that many rows.
     """
     pad = None if rows is None else x.shape[-2]
-    q = linear(x if rows is None else narrow(x, -2, 0, rows), block.wq, block.bq, pad_rows=pad)
+    q = linear(x if rows is None else narrow(x, -2, *rows), block.wq, block.bq, pad_rows=pad)
     k = linear(x, block.wk, block.bk)
     v = linear(x, block.wv, block.bv)
     return linear(multi_head_attention(q, k, v, heads), block.wo, block.bo, residual=residual, pad_rows=pad)
@@ -192,18 +193,19 @@ def _mlp(x: Tensor, block: BlockParams, residual: Tensor, pad_rows: int | None =
 
 
 def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None,
-                rows: int | None = None) -> Tensor:
+                rows: tuple[int, int] | None = None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
     post-attention residual and its output joins the main residual sum.
 
-    With ``rows``, the block returns only its first ``rows`` output tokens
-    and computes nothing that only the other tokens' outputs need: those
+    With ``rows`` = ``(start, stop)``, such as the prompt rows the logits
+    read, the block returns only the output tokens ``start..stop-1`` and
+    computes nothing that only the other tokens' outputs need: those
     tokens still feed the keys and values. The input gradients of its
     row-restricted linears are computed at the full token count (see
     ``linear``'s ``pad_rows``), so every bit matches the full block's.
     """
     pad = None if rows is None else x.shape[-2]
-    residual = x if rows is None else narrow(x, -2, 0, rows)
+    residual = x if rows is None else narrow(x, -2, *rows)
     x_o = _attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual, rows)
     y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o, pad_rows=pad)
     if adapter is None:
@@ -212,16 +214,17 @@ def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer
 
 
 def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None,
-                    patch_rows: bool = True):
+                    rows: tuple[int, int] | None = None):
     """Run the full encoder on a (B, H, W) batch and split the output sequence.
 
     Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
     prompts are registered) and the (B, N, d) patch output rows, both after
-    the final layer norm. With ``patch_rows=False``, ``o_I`` is None, and
-    when there are at least two prompts the last block and the final norm
-    run on the prompt rows only. With one prompt the row-restricted
-    products would be matrix-vector products, whose bits differ, so the
-    full path runs.
+    the final layer norm. With ``rows`` = ``(start, stop)``, the prompt
+    rows the logits read, ``o_I`` is None, and when there are at least two
+    prompts the last block and the final norm run on those prompt rows
+    only, so ``o_P`` holds prompt rows ``start..stop-1``. With one prompt
+    the row-restricted products would be matrix-vector products, whose
+    bits differ, so the full path runs and ``o_P`` holds that prompt's row.
     """
     cfg = params.config
     stack = None if prompt_pool is None else prompt_pool.stacked()
@@ -231,20 +234,22 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         raise ValueError(
             f"encoder_forward: prompt dim {stack.shape[-1]} does not match embed_dim {cfg.embed_dim}"
         )
+    if rows is not None and not 0 <= rows[0] < rows[1] <= n:
+        raise ValueError(f"encoder_forward: prompt rows {rows} do not lie in the {n} prompts")
     adapter_layers = {} if adapters is None else adapters.layers
 
     for layer in range(1, cfg.prompt_layer + 1):
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
     if n:
         x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
-    prompts_only = not patch_rows and n >= 2
+    restricted = rows is not None and n >= 2
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
-        rows = n if prompts_only and layer == cfg.layers else None
-        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=rows)
+        block_rows = rows if restricted and layer == cfg.layers else None
+        x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=block_rows)
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
-    if prompts_only:
+    if restricted:
         return x, None
 
     o_P = narrow(x, -2, 0, n)
-    o_I = narrow(x, -2, n, n + cfg.n_patches) if patch_rows else None
+    o_I = narrow(x, -2, n, n + cfg.n_patches) if rows is None else None
     return o_P, o_I

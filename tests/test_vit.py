@@ -203,6 +203,16 @@ def test_prompt_dim_mismatch_rejected():
         encoder_forward(np.zeros((1, 8, 8)), pool, params)
 
 
+@pytest.mark.parametrize("rows", [(0, 3), (1, 1), (-1, 1), (2, 1)])
+def test_prompt_row_range_outside_the_pool_rejected(rows):
+    cfg = small_config()
+    params = EncoderParams(cfg)
+    pool = PromptPool(cfg.embed_dim)
+    add_class_prompts(pool, ClassifierBank(cfg.embed_dim), [0, 1], stage=1)
+    with pytest.raises(ValueError, match="do not lie in the 2 prompts"):
+        encoder_forward(np.zeros((1, 8, 8)), pool, params, rows=rows)
+
+
 def test_zero_init_adapters_do_not_change_outputs():
     cfg = small_config(layers=3, prompt_layer=1, adapter_start=2)
     params = EncoderParams(cfg)
