@@ -55,10 +55,12 @@ def attach_adapters(config) -> AdapterStack:
     return AdapterStack(layers)
 
 
-def adapter_forward(x: Tensor, adapter: AdapterLayer, pad_rows: int | None = None) -> Tensor:
-    """The adapter branch of ``x``; ``pad_rows`` as in ``linear``."""
+def adapter_forward(x: Tensor, adapter: AdapterLayer, residual: Tensor,
+                    pad_rows: int | None = None) -> Tensor:
+    """``residual`` (in a block, the MLP output) plus the adapter branch of ``x``,
+    joined in the up-projection's ``linear``; ``pad_rows`` as in ``linear``."""
     hidden = linear(x, adapter.down_w, adapter.down_b, relu=True, pad_rows=pad_rows)
-    return linear(hidden, adapter.up_w, adapter.up_b, pad_rows=pad_rows)
+    return linear(hidden, adapter.up_w, adapter.up_b, residual=residual, pad_rows=pad_rows)
 
 
 def compute_trainable_mask(

@@ -260,7 +260,7 @@ def save_dataset(ds: Dataset, out_dir: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_split(root: str, split: str, count: int, side: int, n_classes: int, want_hash: str | None):
+def _read_split(root: str, split: str, count: int, side: int, n_classes: int, want_hash: str):
     split_dir = os.path.join(root, split)
     if not os.path.isdir(split_dir):
         raise ValueError(f"load_dataset: missing split directory {split_dir}")
@@ -285,7 +285,7 @@ def _read_split(root: str, split: str, count: int, side: int, n_classes: int, wa
     if bad.size:
         path = os.path.join(split_dir, names[bad[0]])
         raise ValueError(f"load_dataset: sample file {path} has label bytes outside 0/1")
-    if want_hash is not None and hashlib.sha256(raw).hexdigest() != want_hash:
+    if hashlib.sha256(raw).hexdigest() != want_hash:
         raise ValueError(f"load_dataset: {split} split content hash mismatch (files were modified)")
     images = np.empty((count, side, side), dtype="<f8")
     images.view(np.uint8).reshape(count, pixel_bytes)[...] = raw[:, :pixel_bytes]
@@ -303,7 +303,8 @@ def load_dataset(path: str) -> Dataset:
         if not value:
             raise ValueError(f"{manifest}: line {lineno}: expected 'key value'")
         fields[key] = value
-    required = ("n_classes", "image_side", "n_train", "n_test", "classes", "spec_hash")
+    required = ("n_classes", "image_side", "n_train", "n_test", "classes", "spec_hash",
+                "train_hash", "test_hash")
     missing = [k for k in required if k not in fields]
     if missing:
         raise ValueError(f"{manifest}: missing required fields {missing}")
@@ -323,6 +324,6 @@ def load_dataset(path: str) -> Dataset:
             f"{manifest}: spec_hash mismatch: manifest says {fields['spec_hash'][:12]}..., "
             f"header fields hash to {expected_hash[:12]}..."
         )
-    train_images, train_labels = _read_split(path, "train", n_train, side, n_classes, fields.get("train_hash"))
-    test_images, test_labels = _read_split(path, "test", n_test, side, n_classes, fields.get("test_hash"))
+    train_images, train_labels = _read_split(path, "train", n_train, side, n_classes, fields["train_hash"])
+    test_images, test_labels = _read_split(path, "test", n_test, side, n_classes, fields["test_hash"])
     return Dataset(names, train_images, train_labels, test_images, test_labels, fields["spec_hash"])

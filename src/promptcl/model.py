@@ -43,9 +43,10 @@ def named_params(state: ModelState) -> dict[str, Tensor]:
 def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
     """Logits for the requested classes (default: all known, bank order).
 
-    The last encoder block runs on the prompt rows the logits read: the
+    This picks the prompt rows the last encoder block runs on: the
     smallest range of at least two pool positions that holds every
-    requested class, since a one-row range would use matrix-vector
+    requested class, or, for a one-prompt pool, the full path
+    (``rows=None``), since a one-row range would use matrix-vector
     products, whose bits differ.
     """
     if state.pool.class_ids != state.bank.class_ids:
@@ -58,9 +59,10 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
         raise ValueError("forward_logits: no classes registered yet")
     picks = head_positions(state.bank, class_ids)
     start, stop = (min(picks), max(picks) + 1) if picks else (0, n)  # classify rejects no picks
-    if stop - start < 2:  # widen a one-row read within the pool
-        start, stop = (start, stop + 1) if stop < n else (max(start - 1, 0), stop)
-    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, rows=(start, stop))
+    if stop - start < 2 and n >= 2:  # widen a one-row read within the pool
+        start, stop = (start, stop + 1) if stop < n else (start - 1, stop)
+    rows = (start, stop) if n >= 2 else None
+    o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, rows=rows)
     return classify(o_P, state.bank, class_ids, start)
 
 

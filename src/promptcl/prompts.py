@@ -55,6 +55,13 @@ class _ClassEntries:
     def class_ids(self) -> list[int]:
         return [e.class_id for e in self.entries]
 
+    def _trainable(self, class_id: int, vector) -> Tensor:
+        """A trainable copy of ``vector`` (zeros without one), never the caller's array."""
+        arr = np.zeros(self.dim) if vector is None else np.array(vector, dtype=np.float64)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"{type(self).__name__}.add: class {class_id} shape {arr.shape} is not ({self.dim},)")
+        return Tensor(arr, requires_grad=True)
+
     def named_entries(self):
         """``(name, tensor, entry)`` for every array, in entry order."""
         for e in self.entries:
@@ -85,9 +92,8 @@ class PromptPool(_ClassEntries):
     array_fields = {"prompt.{:04d}": "vector"}
 
     def add(self, class_id: int, stage: int, vector=None, frozen: bool = False) -> None:
-        """Append a prompt; without ``vector`` it holds zeros of the pool's width."""
-        vector = Tensor(np.zeros(self.dim) if vector is None else vector, requires_grad=True)
-        self.entries.append(PromptEntry(class_id, vector, frozen, stage))
+        """Append a prompt holding a copy of ``vector``, or zeros of the pool's width."""
+        self.entries.append(PromptEntry(class_id, self._trainable(class_id, vector), frozen, stage))
 
     def stacked(self) -> Tensor | None:
         """All prompt vectors as one (n, dim) tensor, in pool order: two tape entries for any n."""
@@ -102,8 +108,8 @@ class ClassifierBank(_ClassEntries):
     array_fields = {"head.{:04d}.w": "weight", "head.{:04d}.b": "bias"}
 
     def add(self, class_id: int, stage: int, weight=None, frozen: bool = False) -> None:
-        """Append a head with a zero bias; without ``weight`` it holds zeros of the bank's width."""
-        weight = Tensor(np.zeros(self.dim) if weight is None else weight, requires_grad=True)
+        """Append a head with a zero bias and a copy of ``weight``, or zeros of the bank's width."""
+        weight = self._trainable(class_id, weight)
         self.entries.append(HeadEntry(class_id, weight, Tensor(0.0, requires_grad=True), frozen, stage))
 
 

@@ -340,7 +340,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...] | None) -> Array | None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_suffix_shapes("add", a, b)
-    out = np.add(a.data, b.data, out=_empty(max(a.shape, b.shape, key=len)))
+    out = a.data + b.data
     sa, sb = _grad_shape(a), _grad_shape(b)
     return _record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
@@ -614,20 +614,6 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
 # attention adjoint sums gq + gk + gv in another order than the chain.
 
 
-def _write_slice(buf: Array, index: tuple, part: Array, alone: bool) -> None:
-    """Add one slice's gradient into an input's zero-filled adjoint buffer.
-
-    Slices written with ``+=`` in reverse tape order sum exactly as the
-    zero-padded slice gradients of a chain of slicing ops did. A lone
-    slice (``alone``) is copied in instead: the chain never summed it, so
-    a -0.0 in it stays -0.0.
-    """
-    if alone:
-        buf[index] = part
-    else:
-        buf[index] += part
-
-
 _SLICE = 8  # items of the first axis in one slice of a batch-wide pullback temporary
 _STACK = 1 << 17  # elements (1 MB): a larger weight-gradient stack is made in slices
 
@@ -680,6 +666,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
            relu: bool = False, pad_rows: int | None = None) -> Tensor:
     """``x @ w + b``, plus ``residual`` when given, then ReLU when asked.
 
+    ``residual`` may be the output's shape or a trailing suffix of it, with
+    the bytes of ``add(x @ w + b, residual)``; the pullback keeps its shape.
+
     With ``pad_rows``, the input gradient ``g @ w.T`` is computed on the
     adjoint zero-padded to that many rows and cut back to ``x``'s rows:
     BLAS picks its kernel by row count, so the rows of ``x`` then get the
@@ -699,13 +688,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         raise ValueError(f"linear: pad_rows {pad_rows} is fewer than the rows of x {x.shape}")
     inputs = (x, w, b)
     shape = x.shape[:-1] + w.shape[1:]
-    if residual is not None:
-        if residual.shape != shape:
-            raise ValueError(f"linear: residual {residual.shape} does not match output {shape}")
+    joined = residual is not None
+    if joined:
+        if residual.ndim > len(shape) or shape[len(shape) - residual.ndim:] != residual.shape:
+            raise ValueError(f"linear: residual {residual.shape} is not a trailing suffix of output {shape}")
         inputs += (residual,)
     out = np.matmul(x.data, w.data, out=_empty(shape))
     out += b.data
-    if residual is not None:
+    if joined:
         out += residual.data
     mask = None
     if relu:
@@ -715,7 +705,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     xs, ws, bs = x.shape, w.shape, _grad_shape(b)
     wd = w.data if x.requires_grad else None
     xd = x.data if w.requires_grad else None
-    rg = None if residual is None else residual.requires_grad
+    rs = _grad_shape(residual) if joined else None
 
     def pullback(g):
         if mask is not None:  # masked in place unless backward shares g (see there)
@@ -723,9 +713,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         gx = None if wd is None else _input_grad(g, wd, xs, pad_rows)
         gw = None if xd is None else _weight_grad(xd, g, ws)
         gb = _unbroadcast(g, bs)
-        if rg is None:
-            return gx, gw, gb
-        return gx, gw, gb, (g if rg else None)
+        return (gx, gw, gb, _unbroadcast(g, rs)) if joined else (gx, gw, gb)
 
     return _record(inputs, out, pullback)
 
@@ -879,9 +867,12 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
             want_b, want_w = wants[j]
             grads.append(_unbroadcast(col, ()) if want_b else None)
             grads.append(_unbroadcast(col[..., None] * picked[..., j:j + 1, :], (d,)) if want_w else None)
-            if gx is not None:
+            if gx is not None:  # summed in reverse tape order as the chain's zero-padded slice gradients
                 row = (Ellipsis, slice(rows[j], rows[j] + 1), slice(None))
-                _write_slice(gx, row, col[..., None] * wd[j], m == 1)
+                if m == 1:  # copied: the chain never summed a lone slice, so a -0.0 stays -0.0
+                    gx[row] = col[..., None] * wd[j]
+                else:
+                    gx[row] += col[..., None] * wd[j]
         return (gx, *grads)
 
     inputs = (x,) + tuple(t for j in order for t in (biases[j], weights[j]))

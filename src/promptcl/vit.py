@@ -156,7 +156,8 @@ class EncoderParams:
 def patchify(images, params: EncoderParams) -> Tensor:
     """Cut a batch of (B, H, W) images into non-overlapping patches and embed them.
 
-    Returns (B, N, d) token embeddings with positional offsets already added.
+    Returns (B, N, d) token embeddings; the (N, d) positions join inside
+    the projection's ``linear`` as its residual.
     """
     cfg = params.config
     arr = np.asarray(images, dtype=np.float64)
@@ -168,7 +169,7 @@ def patchify(images, params: EncoderParams) -> Tensor:
     g, p = cfg.grid_side, cfg.patch_side
     # (B, g, p, g, p) -> (B, g, g, p, p) -> (B, N, p*p), patches in row-major grid order
     patches = arr.reshape(b, g, p, g, p).transpose(0, 1, 3, 2, 4).reshape(b, cfg.n_patches, p * p)
-    return linear(Tensor(patches), params.patch_w, params.patch_b) + params.pos
+    return linear(Tensor(patches), params.patch_w, params.patch_b, residual=params.pos)
 
 
 def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor,
@@ -195,7 +196,8 @@ def _mlp(x: Tensor, block: BlockParams, residual: Tensor, pad_rows: int | None =
 def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None,
                 rows: tuple[int, int] | None = None) -> Tensor:
     """One pre-norm block; the adapter branch reads the un-normalised
-    post-attention residual and its output joins the main residual sum.
+    post-attention residual, and its up-projection adds the MLP's output
+    as its ``linear``'s residual, so the block records no separate sum.
 
     With ``rows`` = ``(start, stop)``, such as the prompt rows the logits
     read, the block returns only the output tokens ``start..stop-1`` and
@@ -208,9 +210,7 @@ def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer
     residual = x if rows is None else narrow(x, -2, *rows)
     x_o = _attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual, rows)
     y_o = _mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o, pad_rows=pad)
-    if adapter is None:
-        return y_o
-    return y_o + adapter_forward(x_o, adapter, pad_rows=pad)
+    return y_o if adapter is None else adapter_forward(x_o, adapter, y_o, pad_rows=pad)
 
 
 def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParams, adapters=None,
@@ -219,12 +219,11 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
 
     Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
     prompts are registered) and the (B, N, d) patch output rows, both after
-    the final layer norm. With ``rows`` = ``(start, stop)``, the prompt
-    rows the logits read, ``o_I`` is None, and when there are at least two
-    prompts the last block and the final norm run on those prompt rows
-    only, so ``o_P`` holds prompt rows ``start..stop-1``. With one prompt
-    the row-restricted products would be matrix-vector products, whose
-    bits differ, so the full path runs and ``o_P`` holds that prompt's row.
+    the final layer norm. With ``rows`` = ``(start, stop)``, the last block
+    and the final norm run on prompt rows ``start..stop-1`` only: ``o_P``
+    holds those rows and ``o_I`` is None. The range must hold at least two
+    rows, since one row would use matrix-vector products, whose bits
+    differ; ``model.forward_logits`` picks it.
     """
     cfg = params.config
     stack = None if prompt_pool is None else prompt_pool.stacked()
@@ -236,20 +235,18 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         )
     if rows is not None and not 0 <= rows[0] < rows[1] <= n:
         raise ValueError(f"encoder_forward: prompt rows {rows} do not lie in the {n} prompts")
+    if rows is not None and rows[1] - rows[0] < 2:
+        raise ValueError(f"encoder_forward: prompt rows {rows} hold fewer than two rows")
     adapter_layers = {} if adapters is None else adapters.layers
 
     for layer in range(1, cfg.prompt_layer + 1):
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer))
     if n:
         x = concat([expand_leading(stack, x.shape[0]), x], axis=-2)
-    restricted = rows is not None and n >= 2
     for layer in range(cfg.prompt_layer + 1, cfg.layers + 1):
-        block_rows = rows if restricted and layer == cfg.layers else None
+        block_rows = rows if layer == cfg.layers else None
         x = sab_forward(x, params.blocks[layer - 1], cfg.heads, adapter_layers.get(layer), rows=block_rows)
     x = layer_norm_affine(x, params.final_ln_g, params.final_ln_b)
-    if restricted:
+    if rows is not None:
         return x, None
-
-    o_P = narrow(x, -2, 0, n)
-    o_I = narrow(x, -2, n, n + cfg.n_patches) if rows is None else None
-    return o_P, o_I
+    return narrow(x, -2, 0, n), narrow(x, -2, n, n + cfg.n_patches)

@@ -30,20 +30,22 @@ def hand_adapter():
 
 def test_adapter_forward_hand_values():
     a = hand_adapter()
-    out = adapter_forward(Tensor(np.array([[2.0, 3.0]])), a)
-    assert np.allclose(out.data, [[5.0, -5.0]], atol=1e-15)
-    out = adapter_forward(Tensor(np.array([[-2.0, -3.0]])), a)
-    assert np.array_equal(out.data, [[0.0, 0.0]])
+    residual = Tensor(np.array([[0.5, -1.5]]))
+    out = adapter_forward(Tensor(np.array([[2.0, 3.0]])), a, residual)
+    assert np.allclose(out.data, [[5.5, -6.5]], atol=1e-15)
+    out = adapter_forward(Tensor(np.array([[-2.0, -3.0]])), a, residual)
+    assert np.array_equal(out.data, residual.data)
 
 
 def test_adapter_gradients():
     a = hand_adapter()
     a.down_w.data = np.array([[0.3], [-0.7]])
     a.up_w.data = np.array([[0.4, 0.9]])
-    x = Tensor(np.random.default_rng(2).normal(size=(3, 2)), requires_grad=True)
-    assert gradcheck(lambda: adapter_forward(x, a).sum(), a.down_w) <= 1e-4
-    assert gradcheck(lambda: adapter_forward(x, a).sum(), a.up_w) <= 1e-4
-    assert gradcheck(lambda: adapter_forward(x, a).sum(), x) <= 1e-4
+    r = np.random.default_rng(2)
+    x = Tensor(r.normal(size=(3, 2)), requires_grad=True)
+    residual = Tensor(r.normal(size=(3, 2)), requires_grad=True)
+    for param in (a.down_w, a.up_w, x, residual):
+        assert gradcheck(lambda: (adapter_forward(x, a, residual) ** 2.0).sum(), param) <= 1e-4
 
 
 def wide_config():

@@ -16,6 +16,7 @@ are not reports (or whose nested values are broken) must fail the same way.
 import contextlib
 import io
 import json
+import re
 import shutil
 import zipfile
 
@@ -268,7 +269,9 @@ def test_degenerate_dataset_specs_give_one_error_line(tmp_path, flags, field):
 @pytest.mark.parametrize("edit, needle", [
     (lambda text: b"# \xff\n" + text, "not UTF-8 text"),
     (lambda text: text.replace(b"n_train 16", b"n_train x"), "n_train must be an integer, got 'x'"),
-], ids=["non-utf8", "bad-count"])
+    (lambda text: re.sub(rb"train_hash \w+\n", b"", text), "missing required fields ['train_hash']"),
+    (lambda text: re.sub(rb"test_hash \w+\n", b"", text), "missing required fields ['test_hash']"),
+], ids=["non-utf8", "bad-count", "no-train-hash", "no-test-hash"])
 def test_an_unreadable_dataset_manifest_is_named(dataset, tmp_path, edit, needle):
     data = tmp_path / "ds"
     shutil.copytree(dataset[0].parents[1], data)

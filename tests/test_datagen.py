@@ -146,6 +146,9 @@ def test_hand_written_dataset_loads(tmp_path):
             "n_test 1",
             "classes thing",
             f"spec_hash {spec_hash}",
+            # a split's hash is that of its sample files' bytes, in name order
+            f"train_hash {hashlib.sha256(blob).hexdigest()}",
+            f"test_hash {hashlib.sha256(blob).hexdigest()}",
         ]) + "\n"
     )
     ds = load_dataset(str(tmp_path))

@@ -1,5 +1,7 @@
 """Prompt pool, classifier bank, freezing, semantic init, orthogonality."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,30 @@ def test_add_rejects_duplicates_and_divergence():
     stray = ClassifierBank(4, 0)
     with pytest.raises(ValueError):
         add_class_prompts(pool, stray, [4], stage=2)
+
+
+def test_add_copies_the_callers_array_so_training_leaves_it_alone():
+    from promptcl.training import Adam
+
+    pool, bank = fresh()
+    v, w = np.full(4, 0.5), np.full(4, 0.5)
+    pool.add(0, 1, vector=v)
+    bank.add(0, 1, weight=w)
+    params = {"v": pool.entry(0).vector, "w": bank.entry(0).weight}
+    for t in params.values():
+        t.grad = np.ones(4)
+    Adam(params).step(0.1)
+    assert np.allclose(params["v"].data, 0.4)
+    assert np.array_equal(v, np.full(4, 0.5)) and np.array_equal(w, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
+def test_add_rejects_a_vector_of_the_wrong_shape(shape):
+    for container, key in ((PromptPool(4), "vector"), (ClassifierBank(4), "weight")):
+        name = type(container).__name__
+        with pytest.raises(ValueError, match=rf"{name}\.add: class 7 shape {re.escape(str(shape))} is not \(4,\)"):
+            container.add(7, 1, **{key: np.zeros(shape)})
+        assert len(container) == 0
 
 
 def test_initialization_is_seed_deterministic_per_class():

@@ -63,7 +63,8 @@ def suffix_of(a):
 
 def op_linear(pool, c):
     x, w, b = pick(pool, c[0], featured), pick(pool, c[1], shaped((D, D))), pick(pool, c[2], shaped((D,)))
-    residual = pick(pool, c[3], shaped(x.shape)) if c[4] & 1 else None
+    suffix = lambda t: t.ndim <= x.ndim and x.shape[x.ndim - t.ndim:] == t.shape  # of the output's shape
+    residual = pick(pool, c[3], suffix) if c[4] & 1 else None
     pad_rows = x.shape[-2] + c[5] % 4 if c[4] & 4 else None
     return linear(x, w, b, residual=residual, relu=bool(c[4] & 2), pad_rows=pad_rows)
 

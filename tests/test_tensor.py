@@ -260,6 +260,28 @@ def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_train
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize("residual_trainable", [True, False])
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_with_a_suffix_residual_is_byte_identical_to_unfused_chain(batch, residual_trainable, relu):
+    # An (N, d) residual on a (B, N, d) output, as the patch positions join
+    # the patch projection: the chain adds it after the linear.
+    r = rng_for(batch)
+    arrays = {"x": r.normal(size=(batch, 5, 16)), "w": 0.3 * r.normal(size=(16, 8)),
+              "b": 0.1 * r.normal(size=8), "pos": r.normal(size=(5, 8))}
+    target = r.normal(size=(batch, 5, 8))
+    runs = []
+    for lin in (linear, reference_linear):
+        p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        p["pos"].requires_grad = residual_trainable
+        out = lin(p["x"], p["w"], p["b"], residual=p["pos"], relu=relu)
+        runs.append([out.data.tobytes()])
+        backward((out * Tensor(target)).sum())
+        runs[-1] += [None if leaf.grad is None else leaf.grad.tobytes() for leaf in p.values()]
+    assert runs[0] == runs[1]
+    assert (runs[0][-1] is None) == (not residual_trainable)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
 @pytest.mark.parametrize("heads", [1, 4])
 @pytest.mark.parametrize("gamma_trainable", [True, False])
 def test_fused_attention_with_fewer_queries_is_byte_identical_to_unfused_chain(batch, heads, gamma_trainable):
@@ -422,6 +444,8 @@ def test_fused_ops_reject_mismatched_shapes():
         linear(x, t(np.zeros((3, 4))), t(np.zeros(4)))
     with pytest.raises(ValueError, match="residual"):
         linear(x, t(np.zeros((4, 4))), t(np.zeros(4)), residual=t(np.zeros((2, 4))))
+    with pytest.raises(ValueError, match="residual"):
+        linear(x, t(np.zeros((4, 4))), t(np.zeros(4)), residual=t(np.zeros((1, 2, 3, 4))))
     with pytest.raises(ValueError, match="layer_norm_affine"):
         layer_norm_affine(x, t(np.ones(3)), t(np.zeros(4)))
     with pytest.raises(ValueError, match="multi_head_attention"):

@@ -22,7 +22,9 @@ from promptcl import (
     reset_tape,
     sab_forward,
 )
+from promptcl import vit
 from promptcl.prompts import ClassifierBank
+from promptcl.tensor import add, layer_norm_affine, linear, narrow
 
 EPS = 1e-5  # layer-norm epsilon used throughout the encoder
 
@@ -142,6 +144,42 @@ def test_block_adapter_joins_residual():
     assert np.allclose(with_adapter.data - plain.data, [bump], atol=1e-12)
 
 
+def chained_adapter_block(x, block, heads, adapter, rows):
+    """``sab_forward`` with the adapter branch summed onto the MLP output by a separate ``add``."""
+    pad = None if rows is None else x.shape[-2]
+    residual = x if rows is None else narrow(x, -2, *rows)
+    x_o = vit._attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual, rows)
+    y_o = vit._mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o, pad_rows=pad)
+    hidden = linear(x_o, adapter.down_w, adapter.down_b, relu=True, pad_rows=pad)
+    return add(y_o, linear(hidden, adapter.up_w, adapter.up_b, pad_rows=pad))
+
+
+@pytest.mark.parametrize("rows", [None, (1, 4)], ids=["all-rows", "row-range"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen-as-in-desk-stage-3"])
+def test_block_adapter_join_gives_the_bytes_of_a_separate_add(rows, frozen):
+    cfg = ModelConfig()
+    r = np.random.default_rng(17)
+    block = EncoderParams(cfg).blocks[2]
+    adapter = attach_adapters(cfg).layers[3]
+    adapter.up_w.data = 0.1 * r.normal(size=adapter.up_w.shape)  # trained: the branch is open
+    adapter.up_b.data = 0.1 * r.normal(size=adapter.up_b.shape)
+    x0 = r.normal(size=(7, 6, cfg.embed_dim))
+    leaves = list(block.named().values()) + [adapter.down_w, adapter.down_b, adapter.up_w, adapter.up_b]
+    for t in leaves:
+        t.requires_grad = not frozen
+    runs = []
+    for forward in (sab_forward, chained_adapter_block):
+        x = Tensor(x0, requires_grad=True)
+        for t in leaves:
+            t.grad = None
+        out = forward(x, block, cfg.heads, adapter, rows=rows)
+        runs.append([out.data.tobytes()])
+        backward((out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum())
+        runs[-1] += [None if t.grad is None else t.grad.tobytes() for t in [x] + leaves]
+    assert runs[0] == runs[1]
+    assert runs[0][1] is not None and (runs[0][-1] is None) == frozen
+
+
 def test_multi_head_matches_single_head_with_block_diagonal_values():
     # With diagonal weights the head split is exact: two heads on a 4-dim
     # token equal one head when queries/keys only mix inside each half.
@@ -213,6 +251,18 @@ def test_prompt_row_range_outside_the_pool_rejected(rows):
         encoder_forward(np.zeros((1, 8, 8)), pool, params, rows=rows)
 
 
+@pytest.mark.parametrize("rows", [(0, 1), (1, 2), (2, 3)])
+def test_a_one_row_prompt_range_is_rejected(rows):
+    # One row would run as matrix-vector products, whose bits differ;
+    # forward_logits takes the full path for a one-prompt pool instead.
+    cfg = small_config()
+    params = EncoderParams(cfg)
+    pool = PromptPool(cfg.embed_dim)
+    add_class_prompts(pool, ClassifierBank(cfg.embed_dim), [0, 1, 2], stage=1)
+    with pytest.raises(ValueError, match="fewer than two rows"):
+        encoder_forward(np.zeros((1, 8, 8)), pool, params, rows=rows)
+
+
 def test_zero_init_adapters_do_not_change_outputs():
     cfg = small_config(layers=3, prompt_layer=1, adapter_start=2)
     params = EncoderParams(cfg)
@@ -280,10 +330,11 @@ def test_backbone_named_parameter_census():
 # -- tape budget ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("stage_mask, budget", [(False, 70), (True, 50)])
+@pytest.mark.parametrize("stage_mask, budget", [(False, 64), (True, 45)])
 def test_forward_and_loss_tape_budget(stage_mask, budget):
     # Fused linear / affine-norm / attention / readout ops keep one step's
-    # tape short; the unfused chains recorded 275 and 164 entries here.
+    # tape short; the unfused chains recorded 275 and 164 entries here, and
+    # a separate add for the positions and each adapter branch 67 and 47.
     from promptcl import RunConfig, asl_loss, build_model, compute_trainable_mask, forward_logits
     from promptcl.model import named_params
     from promptcl.tensor import active_tape

@@ -22,7 +22,7 @@ import pytest
 import test_tensor
 import test_training
 from helpers import reference_linear
-from promptcl import ModelConfig, RunConfig, tensor, training
+from promptcl import ModelConfig, RunConfig, model, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import asl_loss, mask_to_task
 from promptcl.model import build_model, forward_logits, named_params, predict_probs
@@ -387,6 +387,32 @@ def test_after_a_training_steps_forward_pass_the_tape_holds_no_tensor_an_op_comp
     assert len(active_tape()) > 40 and loss in outputs
     computed = {id(t) for t in outputs}
     assert [t for t in held if id(t) in computed] == []
+
+
+FUSED_AND_SHAPE_OPS = {"linear", "layer_norm_affine", "multi_head_attention",
+                      "concat", "narrow", "reshape", "expand_leading"}
+
+
+@pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
+def test_a_training_steps_encoder_records_only_fused_and_shape_ops(monkeypatch, stage):
+    # The patch positions and the adapter branch join the residual stream inside
+    # the linear that ends them, as attention and the MLP do: no add is recorded.
+    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage)
+    for name, t in named_params(state).items():
+        t.requires_grad = mask[name]
+    ops = []
+    encoder_forward = model.encoder_forward
+
+    def recording_encoder_forward(*args, **kwargs):
+        before = len(active_tape())
+        out = encoder_forward(*args, **kwargs)
+        ops.extend(pullback.__qualname__.split(".")[0] for _, _, pullback in active_tape()._entries[before:])
+        return out
+
+    monkeypatch.setattr(model, "encoder_forward", recording_encoder_forward)
+    forward_logits(state, images[:5], class_ids)
+    reset_tape()
+    assert "linear" in ops and set(ops) <= FUSED_AND_SHAPE_OPS, ops
 
 
 @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
