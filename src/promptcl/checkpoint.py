@@ -80,7 +80,10 @@ def _write_npz(path, blobs: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path) -> ModelState:
     """Rebuild a saved state; a damaged or malformed file raises ValueError naming ``path``."""
     try:
-        with np.load(path) as bundle:
+        bundle = np.load(path)
+        if not isinstance(bundle, np.lib.npyio.NpzFile):  # a plain .npy file loads as one array
+            raise ValueError(f"it holds a bare {type(bundle).__name__}, not an .npz archive")
+        with bundle:
             arrays = {k: bundle[k] for k in bundle.files}
     except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError) as err:
         # zipfile raises NotImplementedError / RuntimeError for a damaged

@@ -11,11 +11,12 @@ On-disk layout::
     <dir>/train/0000.sample ...
     <dir>/test/0000.sample ...
 
-A ``.sample`` file is the image grid as little-endian float64, row-major,
-followed by one byte (0 or 1) per class. The manifest is line-oriented
-``key value`` text; ``spec_hash`` is the SHA-256 of the canonical header
-string (documented in ``header_hash``) so loaders can verify that the
-declared shape matches what the directory claims to be.
+Sample ``i`` is ``<i:04d>.sample``, read in index order, not name order.
+A ``.sample`` file is the image grid as little-endian float64,
+row-major, followed by one byte (0 or 1) per class. The manifest is
+line-oriented ``key value`` text; ``spec_hash`` is the SHA-256 of the
+canonical header string (documented in ``header_hash``) so loaders can
+verify that the declared shape matches what the directory claims to be.
 """
 
 from __future__ import annotations
@@ -229,6 +230,8 @@ def apply_domain_shift(ds: Dataset, shift: ShiftParams, inverse: bool = False) -
 
 # -- disk format -------------------------------------------------------
 
+SAMPLE_NAME = "{:04d}.sample"
+
 
 def _write_split(root: str, split: str, images: np.ndarray, labels: np.ndarray) -> str:
     split_dir = os.path.join(root, split)
@@ -237,7 +240,7 @@ def _write_split(root: str, split: str, images: np.ndarray, labels: np.ndarray) 
     for i in range(images.shape[0]):
         blob = images[i].astype("<f8").tobytes() + labels[i].astype(np.uint8).tobytes()
         digest.update(blob)
-        with open(os.path.join(split_dir, f"{i:04d}.sample"), "wb") as fh:
+        with open(os.path.join(split_dir, SAMPLE_NAME.format(i)), "wb") as fh:
             fh.write(blob)
     return digest.hexdigest()
 
@@ -264,11 +267,10 @@ def _read_split(root: str, split: str, count: int, side: int, n_classes: int, wa
     split_dir = os.path.join(root, split)
     if not os.path.isdir(split_dir):
         raise ValueError(f"load_dataset: missing split directory {split_dir}")
-    names = sorted(f for f in os.listdir(split_dir) if f.endswith(".sample"))
-    if len(names) != count:
-        raise ValueError(
-            f"load_dataset: manifest promises {count} {split} samples, found {len(names)} files"
-        )
+    found = sum(f.endswith(".sample") for f in os.listdir(split_dir))
+    if found != count:
+        raise ValueError(f"load_dataset: manifest promises {count} {split} samples, found {found} files")
+    names = [SAMPLE_NAME.format(i) for i in range(count)]
     pixel_bytes = side * side * 8
     expected = pixel_bytes + n_classes
     raw = np.empty((count, expected), dtype=np.uint8)

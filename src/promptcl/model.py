@@ -43,11 +43,11 @@ def named_params(state: ModelState) -> dict[str, Tensor]:
 def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
     """Logits for the requested classes (default: all known, bank order).
 
-    This picks the prompt rows the last encoder block runs on: the
-    smallest range of at least two pool positions that holds every
-    requested class, or, for a one-prompt pool, the full path
-    (``rows=None``), since a one-row range would use matrix-vector
-    products, whose bits differ.
+    This picks the rows the last encoder block runs on: the smallest
+    range of pool positions that holds every requested class, and the
+    next token too when that is one row (the next prompt or, past the
+    pool's end, the first patch row; ``classify`` reads no logit there),
+    since one row would use matrix-vector products, whose bits differ.
     """
     if state.pool.class_ids != state.bank.class_ids:
         raise ValueError(
@@ -59,9 +59,7 @@ def forward_logits(state: ModelState, images, class_ids=None) -> Tensor:
         raise ValueError("forward_logits: no classes registered yet")
     picks = head_positions(state.bank, class_ids)
     start, stop = (min(picks), max(picks) + 1) if picks else (0, n)  # classify rejects no picks
-    if stop - start < 2 and n >= 2:  # widen a one-row read within the pool
-        start, stop = (start, stop + 1) if stop < n else (start - 1, stop)
-    rows = (start, stop) if n >= 2 else None
+    rows = (start, max(stop, start + 2))
     o_P, _ = encoder_forward(images, state.pool, state.backbone, state.adapters, rows=rows)
     return classify(o_P, state.bank, class_ids, start)
 

@@ -196,15 +196,11 @@ def classify(o_P: Tensor, bank: ClassifierBank, class_ids=None, start: int = 0) 
     """Per-class logits from the prompts' output rows.
 
     Row ``i`` of ``o_P`` must correspond to ``bank.class_ids[start + i]``:
-    ``o_P`` holds every prompt row, or from ``start`` on the prompt rows
-    the logits read. Pick a subset of classes with ``class_ids`` (logit
-    columns follow that order).
+    ``o_P`` holds every prompt row, or from ``start`` on the rows the
+    logits read, which may run past the last head into rows no logit
+    reads. Pick a subset of classes with ``class_ids`` (logit columns
+    follow that order); ``row_readout`` rejects a read row outside ``o_P``.
     """
-    n = o_P.shape[-2]
-    if start + n > len(bank.entries):
-        raise ValueError(
-            f"classify: {n} prompt output rows from position {start} but {len(bank.entries)} classifier heads"
-        )
     positions = head_positions(bank, class_ids)
     heads = [bank.entries[i] for i in positions]
     return row_readout(o_P, [i - start for i in positions], [e.weight for e in heads], [e.bias for e in heads])

@@ -220,10 +220,10 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
     Returns ``(o_P, o_I)``: the (B, n, d) prompt output rows (n = 0 when no
     prompts are registered) and the (B, N, d) patch output rows, both after
     the final layer norm. With ``rows`` = ``(start, stop)``, the last block
-    and the final norm run on prompt rows ``start..stop-1`` only: ``o_P``
-    holds those rows and ``o_I`` is None. The range must hold at least two
-    rows, since one row would use matrix-vector products, whose bits
-    differ; ``model.forward_logits`` picks it.
+    and the final norm run on tokens ``start..stop-1`` of the n prompt rows
+    followed by the N patch rows: ``o_P`` holds those rows and ``o_I`` is
+    None. The range must hold two rows or more, since one row would use
+    matrix-vector products, whose bits differ; ``forward_logits`` picks it.
     """
     cfg = params.config
     stack = None if prompt_pool is None else prompt_pool.stacked()
@@ -233,10 +233,8 @@ def encoder_forward(images, prompt_pool: PromptPool | None, params: EncoderParam
         raise ValueError(
             f"encoder_forward: prompt dim {stack.shape[-1]} does not match embed_dim {cfg.embed_dim}"
         )
-    if rows is not None and not 0 <= rows[0] < rows[1] <= n:
-        raise ValueError(f"encoder_forward: prompt rows {rows} do not lie in the {n} prompts")
-    if rows is not None and rows[1] - rows[0] < 2:
-        raise ValueError(f"encoder_forward: prompt rows {rows} hold fewer than two rows")
+    if rows is not None and not (0 <= rows[0] and rows[0] + 2 <= rows[1] <= n + cfg.n_patches):
+        raise ValueError(f"encoder_forward: rows {rows} are not two or more of the {n + cfg.n_patches} tokens")
     adapter_layers = {} if adapters is None else adapters.layers
 
     for layer in range(1, cfg.prompt_layer + 1):

@@ -7,10 +7,11 @@ must either fail with exit code 1 and a single ``error:`` line on stderr,
 or succeed with exactly the output of the intact file (a flipped zip
 timestamp, say, changes no content). Checkpoint arrays that disagree with
 the metadata or hold non-finite, non-numeric or pickled values, checkpoint
-metadata that is not UTF-8 JSON, configs and ``gen-data`` specs with
-degenerate sizes, negative noise or non-finite values, text inputs that
-are not UTF-8 or hold a count that is not a number, and JSON files that
-are not reports (or whose nested values are broken) must fail the same way.
+metadata that is not UTF-8 JSON, a plain ``.npy`` file given as a
+checkpoint, configs and ``gen-data`` specs with degenerate sizes,
+negative noise or non-finite values, text inputs that are not UTF-8 or
+hold a count that is not a number, and JSON files that are not reports
+(or whose nested values are broken) must fail the same way.
 """
 
 import contextlib
@@ -206,6 +207,15 @@ def test_checkpoint_content_numpy_or_json_cannot_read_names_the_file(checkpoint,
     np.savez(path, **{**blobs, name: value})
     assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]),
                           f"load_checkpoint: {path} {needle}")
+
+
+@pytest.mark.parametrize("payload", [np.zeros(3), np.zeros((2, 2), dtype=np.uint8)], ids=["vector", "matrix"])
+def test_a_plain_npy_file_as_a_checkpoint_gives_one_error_line(tmp_path, payload):
+    # np.load returns the array itself, not an archive to open
+    path = tmp_path / "plain.npy"
+    np.save(path, payload)
+    assert_one_error_line(*run_cli(["dump-prompts", "--checkpoint", str(path)]),
+                          f"load_checkpoint: {path} is not a readable container")
 
 
 @pytest.mark.parametrize("command", ["pretrain", "run"])

@@ -146,7 +146,7 @@ def test_hand_written_dataset_loads(tmp_path):
             "n_test 1",
             "classes thing",
             f"spec_hash {spec_hash}",
-            # a split's hash is that of its sample files' bytes, in name order
+            # a split's hash is that of its sample files' bytes, in index order
             f"train_hash {hashlib.sha256(blob).hexdigest()}",
             f"test_hash {hashlib.sha256(blob).hexdigest()}",
         ]) + "\n"
@@ -207,6 +207,18 @@ def test_load_reports_missing_pieces(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_dataset(str(tmp_path))
     assert "missing required fields" in str(exc.value)
+
+
+def test_a_split_of_more_than_ten_thousand_samples_loads_in_index_order(tmp_path):
+    # 10000.sample sorts between 1000.sample and 1001.sample by name
+    n = 10_001
+    images = np.arange(n, dtype=np.float64).reshape(n, 1, 1)
+    labels = (np.arange(n) % 2).astype(np.uint8).reshape(n, 1)
+    ds = Dataset(["thing"], images, labels, images[:1], labels[:1], header_hash(1, 1, n, 1, ["thing"]))
+    save_dataset(ds, str(tmp_path))
+    back = load_dataset(str(tmp_path))
+    assert back.train_images.tobytes() == images.tobytes()
+    assert back.train_labels.tobytes() == labels.tobytes()
 
 
 def test_load_rejects_wrong_sample_count(tmp_path):

@@ -1,14 +1,16 @@
 """The last encoder block run on the prompt rows the logits read gives the full path's bits.
 
-``forward_logits`` asks ``encoder_forward`` for the prompt rows the logits
-read: the smallest range of at least two pool positions that holds every
-requested class, which starts at an offset when the older classes are
-not read. With two or more prompts the last block then computes its
-queries, attention output, MLP, adapter and the final norm on those rows
-alone, and pads the adjoints of its linears' input-gradient products back
-to the full token count. Its logits and every leaf gradient must equal,
-byte for byte, those of the full path (``encoder_forward`` without a row
-range, followed by ``classify(o_P, bank, class_ids)``) on the same leaves.
+``forward_logits`` asks ``encoder_forward`` for the rows the logits read:
+the smallest range of pool positions that holds every requested class,
+which starts at an offset when the older classes are not read. A one-row
+range widens into the next token, the next prompt or, past the pool's
+end, the first patch row. For every pool size the last block then
+computes its queries, attention output, MLP, adapter and the final norm
+on those rows alone, and pads the adjoints of its linears'
+input-gradient products back to the full token count. Its logits and
+every leaf gradient must equal, byte for byte, those of the full path
+(``encoder_forward`` without a row range, followed by
+``classify(o_P, bank, class_ids)``) on the same leaves.
 """
 
 import contextlib
@@ -16,11 +18,20 @@ import contextlib
 import numpy as np
 import pytest
 
-from promptcl import tensor
+from promptcl import tensor, vit
 from promptcl.adapters import compute_trainable_mask
 from promptcl.model import build_model, forward_logits, named_params, predict_probs
 from promptcl.prompts import add_class_prompts, classify, freeze_previous
-from promptcl.tensor import Tensor, backward, no_grad, reset_tape, stable_sigmoid, step_workspace, zero_grads
+from promptcl.tensor import (
+    Tensor,
+    backward,
+    narrow,
+    no_grad,
+    reset_tape,
+    stable_sigmoid,
+    step_workspace,
+    zero_grads,
+)
 from promptcl.vit import ModelConfig, encoder_forward
 
 CONFIGS = {
@@ -144,3 +155,19 @@ def test_unknown_and_empty_class_lists_keep_their_errors(n):
         forward_logits(state, images, class_ids=[0, 99])
     with pytest.raises(ValueError, match=r"^row_readout: need one weight and one bias per row, got 0 rows"):
         forward_logits(state, images, class_ids=[])
+
+
+def test_a_one_class_model_cuts_no_patch_rows(monkeypatch):
+    # The full path cut 1 prompt row and the 16 patch rows, which nothing read,
+    # in the same number of narrows, so count the rows, not the tape entries.
+    narrowed = []
+
+    def recording_narrow(x, axis, start, stop):
+        narrowed.append(stop - start)
+        return narrow(x, axis, start, stop)
+
+    state, _ = build(CONFIGS["default"], "stage-1", 1)
+    monkeypatch.setattr(vit, "narrow", recording_narrow)
+    forward_logits(state, np.zeros((8, 16, 16)))
+    reset_tape()
+    assert narrowed == [2, 2]  # the last block's residual and query rows

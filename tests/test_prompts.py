@@ -130,10 +130,15 @@ def test_classify_columns_follow_requested_order():
 def test_classify_validates_rows_and_ids():
     pool, bank = fresh(dim=2)
     add_class_prompts(pool, bank, [0, 1], stage=1)
-    with pytest.raises(ValueError):
-        classify(Tensor(np.zeros((3, 2))), bank)
-    with pytest.raises(ValueError):
+    # a read row outside o_P: past its end, or before ``start``
+    with pytest.raises(ValueError, match="row 1 of 1"):
+        classify(Tensor(np.zeros((1, 2))), bank)
+    with pytest.raises(ValueError, match="row -1 of 2"):
+        classify(Tensor(np.zeros((2, 2))), bank, class_ids=[0], start=1)
+    with pytest.raises(ValueError, match="no head for class 5"):
         classify(Tensor(np.zeros((2, 2))), bank, class_ids=[5])
+    # a row past the last head, such as a patch row, is allowed and never read
+    assert classify(Tensor(np.zeros((3, 2))), bank).shape == (2,)
 
 
 def test_classify_batched():

@@ -11,14 +11,24 @@ pullbacks are sliced at every batch size. Every op's output, the loss,
 the held values and every leaf gradient must be the same bytes each way.
 A directional finite difference checks the gradients of the plain run,
 and a held value takes a second ``backward``'s gradient as a leaf does.
+
+Programs whose fused ops keep their operands apart (no tensor, and no
+readout row, read twice by one op) and pad no rows also run with each
+fused op replaced by its unfused chain from ``tests/helpers.py``; every
+op's output, the loss, the held values and every leaf gradient must be
+the same bytes as the fused run's. With an operand read twice, a fused op
+sums that operand's gradients in another order than its chain does, so
+those programs are left out of this check.
 """
 
 import contextlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_attention, reference_layer_norm_affine, reference_linear, reference_readout
 from promptcl import (
     Tensor,
     backward,
@@ -37,6 +47,21 @@ from promptcl.tensor import active_tape, add, multiply, reduce_mean, reduce_sum,
 
 D = 4  # the feature width: weights are (D, D), and 1, 2 or 4 heads divide it
 BIG = 512  # no op makes a value larger than this
+
+
+class Ops(NamedTuple):
+    """The four fused ops a program calls, or their chains, and whether it keeps their operands apart:
+    no operand, and no readout row, read twice by one op, and no ``pad_rows``."""
+    linear: Callable
+    layer_norm_affine: Callable
+    attention: Callable
+    readout: Callable
+    apart: bool
+
+
+FUSED = Ops(linear, layer_norm_affine, multi_head_attention, row_readout, apart=False)
+APART = FUSED._replace(apart=True)
+CHAINS = Ops(reference_linear, reference_layer_norm_affine, reference_attention, reference_readout, apart=True)
 
 
 def pick(pool, c, ok=lambda t: True):
@@ -61,35 +86,55 @@ def suffix_of(a):
     return ok
 
 
-def op_linear(pool, c):
-    x, w, b = pick(pool, c[0], featured), pick(pool, c[1], shaped((D, D))), pick(pool, c[2], shaped((D,)))
+def picker(ops):
+    """``pick`` that, when ``ops.apart``, passes over the operands picked so far."""
+    picked = []
+
+    def take(pool, c, ok=lambda t: True):
+        picked.append(pick(pool, c, lambda t: ok(t) and not (ops.apart and any(t is a for a in picked))))
+        return picked[-1]
+
+    return take
+
+
+def op_linear(pool, c, ops):
+    take = picker(ops)
+    x, w, b = take(pool, c[0], featured), take(pool, c[1], shaped((D, D))), take(pool, c[2], shaped((D,)))
+    if None in (x, w, b):
+        return None
     suffix = lambda t: t.ndim <= x.ndim and x.shape[x.ndim - t.ndim:] == t.shape  # of the output's shape
-    residual = pick(pool, c[3], suffix) if c[4] & 1 else None
-    pad_rows = x.shape[-2] + c[5] % 4 if c[4] & 4 else None
-    return linear(x, w, b, residual=residual, relu=bool(c[4] & 2), pad_rows=pad_rows)
+    residual = take(pool, c[3], suffix) if c[4] & 1 else None
+    if c[4] & 4 and not ops.apart:
+        return linear(x, w, b, residual=residual, relu=bool(c[4] & 2), pad_rows=x.shape[-2] + c[5] % 4)
+    return ops.linear(x, w, b, residual=residual, relu=bool(c[4] & 2))
 
 
-def op_layer_norm_affine(pool, c):
-    gamma, beta = pick(pool, c[1], shaped((D,))), pick(pool, c[2], shaped((D,)))
-    return layer_norm_affine(pick(pool, c[0], featured), gamma, beta)
+def op_layer_norm_affine(pool, c, ops):
+    take = picker(ops)
+    x, gamma, beta = take(pool, c[0], featured), take(pool, c[1], shaped((D,))), take(pool, c[2], shaped((D,)))
+    return None if None in (x, gamma, beta) else ops.layer_norm_affine(x, gamma, beta)
 
 
-def op_attention(pool, c):
-    k = pick(pool, c[0], featured)
-    v = pick(pool, c[1], shaped(k.shape))
-    q = pick(pool, c[2], lambda t: featured(t) and t.shape[:-2] == k.shape[:-2] and t.shape[-2] <= k.shape[-2])
-    return multi_head_attention(q, k, v, heads=(1, 2, 4)[c[3] % 3])
+def op_attention(pool, c, ops):
+    take = picker(ops)
+    k = take(pool, c[0], featured)
+    v = take(pool, c[1], shaped(k.shape))
+    q = take(pool, c[2], lambda t: featured(t) and t.shape[:-2] == k.shape[:-2] and t.shape[-2] <= k.shape[-2])
+    return None if None in (v, q) else ops.attention(q, k, v, (1, 2, 4)[c[3] % 3])
 
 
-def op_row_readout(pool, c):
-    x = pick(pool, c[0], featured)
+def op_row_readout(pool, c, ops):
+    take = picker(ops)
+    x = take(pool, c[0], featured)
     rows = [(c[1] >> 4 * j) % x.shape[-2] for j in range(1 + c[2] % 3)]
-    weights = [pick(pool, c[3] >> 4 * j, shaped((D,))) for j in range(len(rows))]
-    biases = [pick(pool, c[4] >> 4 * j, shaped(())) for j in range(len(rows))]
-    return row_readout(x, rows, weights, biases)
+    if ops.apart:  # a row read twice sums its gradients in another order than the chain's slices
+        rows = list(dict.fromkeys(rows))
+    weights = [take(pool, c[3] >> 4 * j, shaped((D,))) for j in range(len(rows))]
+    biases = [take(pool, c[4] >> 4 * j, shaped(())) for j in range(len(rows))]
+    return None if None in weights + biases else ops.readout(x, rows, weights, biases)
 
 
-def op_concat(pool, c):
+def op_concat(pool, c, ops):
     a = pick(pool, c[0], lambda t: t.ndim >= 1)
     ax = c[1] % a.ndim
     fits = lambda t: t.ndim == a.ndim and t.shape[:ax] + t.shape[ax + 1:] == a.shape[:ax] + a.shape[ax + 1:]
@@ -99,20 +144,20 @@ def op_concat(pool, c):
     return concat(parts, axis=ax - a.ndim if c[4] & 1 else ax)
 
 
-def op_narrow(pool, c):
+def op_narrow(pool, c, ops):
     a = pick(pool, c[0], lambda t: t.ndim >= 1)
     ax = c[1] % a.ndim
     start = c[2] % a.shape[ax]
     return narrow(a, ax, start, start + 1 + c[3] % (a.shape[ax] - start))
 
 
-def op_expand_leading(pool, c):
+def op_expand_leading(pool, c, ops):
     a = pick(pool, c[0], lambda t: t.ndim <= 3)
     n = 1 + c[1] % 3
     return None if a.size * n > BIG else expand_leading(a, n)
 
 
-def op_reshape(pool, c):
+def op_reshape(pool, c, ops):
     a = pick(pool, c[0])
     if a.ndim >= 2 and c[1] & 1:
         return reshape(a, (a.shape[0] * a.shape[1],) + a.shape[2:])
@@ -120,7 +165,7 @@ def op_reshape(pool, c):
 
 
 def elementwise(op):
-    def run(pool, c):
+    def run(pool, c, ops):
         a = pick(pool, c[0])
         b = pick(pool, c[1], suffix_of(a))
         return op(b, a) if c[2] & 1 else op(a, b)
@@ -128,7 +173,7 @@ def elementwise(op):
 
 
 def reduction(op):
-    def run(pool, c):
+    def run(pool, c, ops):
         a = pick(pool, c[0])
         axis = c[1] % (a.ndim + 1)
         return op(a, None if axis == a.ndim else axis - a.ndim if c[2] & 1 else axis)
@@ -146,11 +191,14 @@ dropping = st.integers(0, 3).map(lambda n: n == 3)  # whether an op lets go of a
 
 
 @st.composite
-def programs(draw):
+def programs(draw, ops=FUSED):
     lead = draw(st.sampled_from([(), (1,), (3,), (5,), (3, 2)]))
     leaves = [lead + (draw(st.integers(1, 4)), D) for _ in range(draw(st.integers(1, 3)))]
     leaves += [(D, D)] * draw(st.integers(1, 2)) + [(D,)] * draw(st.integers(1, 2)) + [()]
+    if ops.apart:  # enough distinct heads for a three-row readout
+        leaves += [(D,), ()] * 2
     return {
+        "fused": ops,
         "seed": draw(st.integers(0, 1 << 16)),
         "leaves": [(shape, draw(st.integers(0, 3)) > 0) for shape in leaves],
         "ops": draw(st.lists(st.tuples(st.sampled_from(OPS), choices, dropping), min_size=1, max_size=12)),
@@ -159,13 +207,16 @@ def programs(draw):
     }
 
 
-def forward(program, step=0.0, kept=None):
+def forward(program, step=0.0, kept=None, chains=False):
     """The leaves, their directions, the values made (None where dropped), the output bytes and the loss.
 
     A leaf's values move by ``step`` along its direction (zero where it
     takes no gradient). Every op's output also goes into ``kept``, when
-    given, so that none dies.
+    given, so that none dies. With ``chains``, the fused ops run as their
+    unfused chains.
     """
+    assert program["fused"].apart or not chains
+    ops = CHAINS if chains else program["fused"]
     leaves, dirs = [], []
 
     def leaf(shape, requires_grad, seed):
@@ -183,7 +234,7 @@ def forward(program, step=0.0, kept=None):
             pool[made[c[5] % (len(made) - 1)]] = None
         if new:  # made right after the drop, so that it may take the dropped tensor's address
             leaves.append(Tensor(*new))
-        out = leaves[-1] if new else op(pool, c)
+        out = leaves[-1] if new else op(pool, c, ops)
         if out is not None:
             outs.append(out.data.tobytes())
             pool.append(out)
@@ -206,16 +257,19 @@ def forward(program, step=0.0, kept=None):
 
 
 def run(program, mode):
-    """Every byte of one run of ``program``: op outputs, loss, held values and leaf gradients."""
+    """Every byte of one run of ``program``: op outputs, loss, held values and leaf gradients.
+
+    Mode ``chains`` runs it as ``plain`` does, with the fused ops' chains.
+    """
     saved = tensor._POISON, tensor._STACK, tensor._SLICE
     tensor._POISON = mode in ("poisoned", "sliced")
     if mode == "sliced":
         tensor._STACK, tensor._SLICE = 1, 2
     try:
-        with contextlib.nullcontext() if mode in ("plain", "held") else tensor.step_workspace() as ws:
+        with contextlib.nullcontext() if mode in ("plain", "held", "chains") else tensor.step_workspace() as ws:
             reset_tape()
             kept = [] if mode == "held" else None
-            leaves, _, made, outs, loss = forward(program, kept=kept)
+            leaves, _, made, outs, loss = forward(program, kept=kept, chains=mode == "chains")
             held = [t for t in (made[h % len(made)] for h in program["held"] if made) if t is not None]
             del made  # every value not held goes before backward
             if loss is not None:
@@ -271,3 +325,9 @@ def test_a_generated_program_gives_the_same_bytes_every_way_it_runs(program):
     held = run(program, "held")
     assert (held["outs"], held["grads"]) == (want["outs"], want["grads"]), "held"
     assert directional_derivative_error(program, want["grads"]) < 1e-6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(programs(APART))
+def test_a_generated_program_gives_the_bytes_of_its_unfused_chains(program):
+    assert run(program, "chains") == run(program, "plain")

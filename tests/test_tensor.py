@@ -243,7 +243,7 @@ def block_arrays(batch, heads):
 @pytest.mark.parametrize("batch", [1, 7, 64])
 @pytest.mark.parametrize("heads", [1, 4])
 @pytest.mark.parametrize("gamma_trainable", [True, False])
-@pytest.mark.parametrize("rows", [[3, 0, 4], [2]])
+@pytest.mark.parametrize("rows", [[3, 0, 4], [2], [1, 1, 1]])  # a row read thrice: its gradients sum in tape order
 def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_trainable, rows):
     arrays = block_arrays(batch, heads)
     fused_outs, fused_grads = _block_and_readout(FUSED, arrays, heads, rows, gamma_trainable)

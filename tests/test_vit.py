@@ -241,26 +241,29 @@ def test_prompt_dim_mismatch_rejected():
         encoder_forward(np.zeros((1, 8, 8)), pool, params)
 
 
-@pytest.mark.parametrize("rows", [(0, 3), (1, 1), (-1, 1), (2, 1)])
-def test_prompt_row_range_outside_the_pool_rejected(rows):
+@pytest.mark.parametrize("rows", [(-1, 1), (0, 7), (5, 7),  # outside the 2 + 4 tokens
+                                  (2, 1), (3, 3),  # reversed or empty
+                                  (0, 1), (1, 2), (5, 6)])  # one row: matrix-vector products differ in bits
+def test_a_token_range_outside_the_sequence_or_of_one_row_is_rejected(rows):
     cfg = small_config()
     params = EncoderParams(cfg)
     pool = PromptPool(cfg.embed_dim)
     add_class_prompts(pool, ClassifierBank(cfg.embed_dim), [0, 1], stage=1)
-    with pytest.raises(ValueError, match="do not lie in the 2 prompts"):
+    with pytest.raises(ValueError, match=r"are not two or more of the 6 tokens"):
         encoder_forward(np.zeros((1, 8, 8)), pool, params, rows=rows)
 
 
-@pytest.mark.parametrize("rows", [(0, 1), (1, 2), (2, 3)])
-def test_a_one_row_prompt_range_is_rejected(rows):
-    # One row would run as matrix-vector products, whose bits differ;
-    # forward_logits takes the full path for a one-prompt pool instead.
+@pytest.mark.parametrize("rows", [(1, 3), (2, 6), (0, 6)])
+def test_a_token_range_may_run_into_the_patch_rows(rows):
     cfg = small_config()
     params = EncoderParams(cfg)
-    pool = PromptPool(cfg.embed_dim)
-    add_class_prompts(pool, ClassifierBank(cfg.embed_dim), [0, 1, 2], stage=1)
-    with pytest.raises(ValueError, match="fewer than two rows"):
-        encoder_forward(np.zeros((1, 8, 8)), pool, params, rows=rows)
+    pool = PromptPool(cfg.embed_dim, seed=3)
+    add_class_prompts(pool, ClassifierBank(cfg.embed_dim, seed=3), [0, 1], stage=1)
+    imgs = np.random.default_rng(5).normal(size=(3, 8, 8))
+    o_P, o_I = encoder_forward(imgs, pool, params)
+    picked, none = encoder_forward(imgs, pool, params, rows=rows)
+    assert none is None
+    assert picked.data.tobytes() == np.concatenate([o_P.data, o_I.data], axis=1)[:, slice(*rows)].tobytes()
 
 
 def test_zero_init_adapters_do_not_change_outputs():

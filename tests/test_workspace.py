@@ -269,10 +269,11 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
     assert all(t.requires_grad for t in named_params(state).values())
 
 
-def twelve_prompt_step(stage):
+def twelve_prompt_step(stage, n_prompts=12):
     """The default model with 12 prompts at batch 64: a stage-1 step training all of them, the
     desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen),
-    or a pretraining step, which trains every weight of the adapter-free model."""
+    or a pretraining step, which trains every weight of the adapter-free model. The stage-1 and
+    pretraining steps take another prompt count through ``n_prompts``."""
     cfg = RunConfig(model=ModelConfig(), batch_size=64)
     state = build_model(cfg.model, use_adapters=stage != "pretraining")
     if stage == 3:
@@ -281,7 +282,7 @@ def twelve_prompt_step(stage):
             add_class_prompts(state.pool, state.bank, class_ids, stage=s)
             freeze_previous(state.pool, state.bank, s)
     else:
-        class_ids = list(range(12))
+        class_ids = list(range(n_prompts))
         add_class_prompts(state.pool, state.bank, class_ids, stage=1)
     if stage == "pretraining":
         mask = dict.fromkeys(named_params(state), True)
@@ -305,8 +306,8 @@ def twelve_prompt_step(stage):
 TWELVE_PROMPT_NEED = {1: 1_241_088, 3: 1_028_096, "pretraining": 2_686_976}
 
 
-@pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
-def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, stage):
+def step_need(monkeypatch, stage, n_prompts=12):
+    """The workspace ``need`` of one ``twelve_prompt_step(stage, n_prompts)`` run by ``_fit``."""
     needs = []
 
     def recording_backward(root):
@@ -314,10 +315,21 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, s
         needs.append(tensor._WORKSPACE.need)
 
     monkeypatch.setattr(training, "backward", recording_backward)
-    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage)
+    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage, n_prompts)
     training._fit(state, images, labels, class_ids, mask, 1, cfg, (0, "workspace-need"))
     assert len(needs) == 1
-    assert needs[0] <= TWELVE_PROMPT_NEED[stage]
+    return needs[0]
+
+
+@pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
+def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, stage):
+    assert step_need(monkeypatch, stage) <= TWELVE_PROMPT_NEED[stage]
+
+
+def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
+    # The one prompt row and the first patch row; the whole last block on
+    # all 17 tokens took 933,376.
+    assert step_need(monkeypatch, 1, n_prompts=1) <= 650_496
 
 
 def held_tensors():
