@@ -86,7 +86,3 @@ def compute_trainable_mask(
     for container in (pool, bank):
         mask.update((name, not e.frozen) for name, _, e in container.named_entries())
     return mask
-
-
-def trainable_param_count(mask: dict[str, bool], named: dict[str, Tensor]) -> int:
-    return sum(named[name].size for name, on in mask.items() if on)

@@ -13,9 +13,11 @@ so, and they carry no flag of their own. The map stays because the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
+import os
 import zipfile
 from dataclasses import asdict
 
@@ -68,13 +70,22 @@ def _write_npz(path, blobs: dict[str, np.ndarray]) -> None:
     ``np.savez`` stamps each zip member with the wall clock, so two saves
     of identical arrays differ in bytes. Checkpoints feed content digests,
     hence the container itself must be a pure function of its contents.
+    The archive is written beside ``path`` and renamed over it, so a save
+    that fails leaves the file it was replacing intact.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name in sorted(blobs):
-            buf = io.BytesIO()
-            npy_format.write_array(buf, np.asanyarray(blobs[name]), allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name in sorted(blobs):
+                buf = io.BytesIO()
+                npy_format.write_array(buf, np.asanyarray(blobs[name]), allow_pickle=False)
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                zf.writestr(info, buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ModelState:

@@ -199,8 +199,8 @@ def _permute_cells(images: np.ndarray, perm: np.ndarray, cell: int) -> np.ndarra
     return blocks.reshape(n, g, g, cell, cell).transpose(0, 1, 3, 2, 4).reshape(n, side, side)
 
 
-def apply_domain_shift(ds: Dataset, shift: ShiftParams, inverse: bool = False) -> Dataset:
-    """Apply (or undo) the pixel transform; labels are untouched."""
+def apply_domain_shift(ds: Dataset, shift: ShiftParams) -> Dataset:
+    """Apply the pixel transform; labels are untouched."""
     side = ds.image_side
     perm = None
     if shift.cell_perm_seed is not None:
@@ -210,20 +210,11 @@ def apply_domain_shift(ds: Dataset, shift: ShiftParams, inverse: bool = False) -
             )
         g = side // shift.cell_side
         perm = seeded_rng(shift.cell_perm_seed, "cell-permutation").permutation(g * g)
-        if inverse:
-            perm = np.argsort(perm)
 
     def transform(images: np.ndarray) -> np.ndarray:
-        out = images
-        if inverse:
-            out = (out - shift.offset) / shift.contrast
-            if perm is not None:
-                out = _permute_cells(out, perm, shift.cell_side)
-        else:
-            if perm is not None:
-                out = _permute_cells(out, perm, shift.cell_side)
-            out = out * shift.contrast + shift.offset
-        return out
+        if perm is not None:
+            images = _permute_cells(images, perm, shift.cell_side)
+        return images * shift.contrast + shift.offset
 
     return replace(ds, train_images=transform(ds.train_images), test_images=transform(ds.test_images))
 
@@ -236,6 +227,11 @@ SAMPLE_NAME = "{:04d}.sample"
 def _write_split(root: str, split: str, images: np.ndarray, labels: np.ndarray) -> str:
     split_dir = os.path.join(root, split)
     os.makedirs(split_dir, exist_ok=True)
+    # A sample file left from an earlier, larger dataset would break the loader's count check.
+    keep = {SAMPLE_NAME.format(i) for i in range(images.shape[0])}
+    for name in os.listdir(split_dir):
+        if name.endswith(".sample") and name not in keep:
+            os.remove(os.path.join(split_dir, name))
     digest = hashlib.sha256()
     for i in range(images.shape[0]):
         blob = images[i].astype("<f8").tobytes() + labels[i].astype(np.uint8).tobytes()

@@ -284,9 +284,6 @@ class Tensor:
     def transpose_last(self):
         return transpose_last(self)
 
-    def reshape(self, shape: tuple[int, ...]):
-        return reshape(self, shape)
-
 
 def _coerce(x) -> Tensor:
     if isinstance(x, Tensor):

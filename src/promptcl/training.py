@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .adapters import compute_trainable_mask, trainable_param_count
+from .adapters import compute_trainable_mask
 from .checkpoint import file_digest, load_checkpoint, params_digest, save_checkpoint
 from .datagen import Dataset
 from .losses import asl_loss, mask_to_task
@@ -124,16 +124,11 @@ def _fit(state: ModelState, images, labels, class_ids, mask, epochs: int, cfg: R
         reset_tape()
         for t in named.values():
             t.requires_grad = True
-    return {"steps": step, "last_loss": last_loss, "trainable_params": trainable_param_count(mask, named)}
+    return {"steps": step, "last_loss": last_loss, "trainable_params": sum(t.size for t in trainables.values())}
 
 
-def train_stage(state: ModelState, task: Task, dataset: Dataset, cfg: RunConfig, mask=None) -> dict:
-    """Train one incremental stage on the task's image subset."""
-    if mask is None:
-        mask = compute_trainable_mask(
-            task.index, state.pool, state.bank, state.adapters, state.backbone,
-            ca_unfrozen=cfg.ca_unfrozen,
-        )
+def train_stage(state: ModelState, task: Task, dataset: Dataset, cfg: RunConfig, mask) -> dict:
+    """Train one incremental stage on the task's image subset; ``mask`` names what trains."""
     images = dataset.train_images[task.train_indices]
     labels = mask_to_task(dataset.train_labels[task.train_indices], task.class_ids)
     return _fit(

@@ -12,11 +12,15 @@ from promptcl import (
     Tensor,
     add_class_prompts,
     attach_adapters,
+    build_model,
+    build_task_stream,
     compute_trainable_mask,
     freeze_previous,
+    train_stage,
 )
-from promptcl.adapters import adapter_forward, trainable_param_count
+from promptcl.adapters import adapter_forward
 from promptcl.prompts import ClassifierBank
+from test_training import micro_config, micro_dataset, stage_mask
 
 
 def hand_adapter():
@@ -129,9 +133,15 @@ def test_mask_follows_backbone_flag_and_rejects_bad_stage():
 
 
 def test_trainable_param_count_formula():
-    # A later stage adding c classes trains exactly c * (2 d + 1) scalars.
-    cfg, backbone, adapters, pool, bank = mask_fixture(stage=2, freeze_stage=2)
-    mask = compute_trainable_mask(2, pool, bank, adapters, backbone)
-    named = {**backbone.named(), **adapters.named(), **pool.named(), **bank.named()}
-    d = cfg.embed_dim
-    assert trainable_param_count(mask, named) == 1 * (2 * d + 1)
+    # A later stage adding c classes trains exactly c * (2 d + 1) scalars;
+    # stage 1 also trains the adapter, d * dp + dp + dp * d + d of them.
+    ds = micro_dataset()
+    cfg = micro_config(epochs=1, inc_classes=1)
+    state = build_model(cfg.model)
+    stream = build_task_stream(ds, cfg.base_classes, cfg.inc_classes)
+    counts = []
+    for task in stream.tasks[:2]:
+        add_class_prompts(state.pool, state.bank, task.class_ids, task.index)
+        counts.append(train_stage(state, task, ds, cfg, stage_mask(state, task.index, cfg))["trainable_params"])
+    d, dp = cfg.model.embed_dim, cfg.model.adapter_dim
+    assert counts == [(2 * d * dp + dp + d) + 2 * (2 * d + 1), 1 * (2 * d + 1)]

@@ -16,6 +16,7 @@ from promptcl import (
     save_dataset,
 )
 from promptcl.datagen import class_stamps, header_hash
+from promptcl.seeds import seeded_rng
 
 SMALL = dict(n_classes=6, image_side=8, stamp_side=4, n_train=60, n_test=40,
              min_labels=1, max_labels=2, min_positive=5, stamp_seed=3)
@@ -102,21 +103,30 @@ def test_round_trip_preserves_bytes(tmp_path):
     assert back.spec_hash == ds.spec_hash
 
 
+def tree_digest(root):
+    h = hashlib.sha256()
+    for base, _, files in sorted(os.walk(root)):
+        for f in sorted(files):
+            rel = os.path.relpath(os.path.join(base, f), root)
+            h.update(rel.encode())
+            h.update(open(os.path.join(base, f), "rb").read())
+    return h.hexdigest()
+
+
 def test_save_twice_is_byte_identical(tmp_path):
     ds = generate_dataset(small_spec(), seed=8)
     save_dataset(ds, str(tmp_path / "a"))
     save_dataset(ds, str(tmp_path / "b"))
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
-    def digest(root):
-        h = hashlib.sha256()
-        for base, _, files in sorted(os.walk(root)):
-            for f in sorted(files):
-                rel = os.path.relpath(os.path.join(base, f), root)
-                h.update(rel.encode())
-                h.update(open(os.path.join(base, f), "rb").read())
-        return h.hexdigest()
 
-    assert digest(tmp_path / "a") == digest(tmp_path / "b")
+def test_a_smaller_dataset_saved_over_a_larger_one_loads(tmp_path):
+    generate_dataset(small_spec(), seed=8, out_dir=str(tmp_path / "reused"))
+    smaller = small_spec(n_train=40)
+    generate_dataset(smaller, seed=8, out_dir=str(tmp_path / "reused"))
+    generate_dataset(smaller, seed=8, out_dir=str(tmp_path / "fresh"))
+    assert load_dataset(str(tmp_path / "reused")).train_images.shape[0] == 40
+    assert tree_digest(tmp_path / "reused") == tree_digest(tmp_path / "fresh")
 
 
 def test_sample_file_layout_is_documented_format(tmp_path):
@@ -233,14 +243,26 @@ def test_load_rejects_wrong_sample_count(tmp_path):
 
 
 def test_shift_is_invertible():
+    # Shifted cell k holds source cell perm[k] under the affine map, so
+    # putting each cell back and undoing the map restores the images.
     shift = ShiftParams(contrast=0.7, offset=0.2, cell_perm_seed=5, cell_side=4)
     ds = generate_dataset(small_spec(), seed=3)
     shifted = apply_domain_shift(ds, shift)
     assert not np.allclose(shifted.train_images, ds.train_images)
-    restored = apply_domain_shift(shifted, shift, inverse=True)
-    assert np.allclose(restored.train_images, ds.train_images, atol=1e-12)
-    assert np.allclose(restored.test_images, ds.test_images, atol=1e-12)
     assert np.array_equal(shifted.train_labels, ds.train_labels)
+    perm = seeded_rng(5, "cell-permutation").permutation(4)
+    assert list(perm) != [0, 1, 2, 3]
+
+    def cell(images, k):
+        r, c = divmod(int(k), 2)
+        return images[:, 4 * r:4 * r + 4, 4 * c:4 * c + 4]
+
+    for original, out in ((ds.train_images, shifted.train_images), (ds.test_images, shifted.test_images)):
+        restored = np.empty_like(original)
+        for k, src in enumerate(perm):
+            assert np.array_equal(cell(out, k), cell(original, src) * 0.7 + 0.2)
+            cell(restored, src)[...] = (cell(out, k) - 0.2) / 0.7
+        assert np.allclose(restored, original, atol=1e-12)
 
 
 def test_affine_only_shift():

@@ -37,7 +37,7 @@ from promptcl import (
     zero_grads,
 )
 from promptcl import tensor
-from promptcl.tensor import active_tape, step_workspace
+from promptcl.tensor import active_tape, reshape, step_workspace
 
 
 def t(values, requires_grad=True):
@@ -149,7 +149,7 @@ OP_CASES = {
     "mean_axis": lambda p, r: (p.mean(axis=-1) * t(r.normal(size=(3,)), False)).sum(),
     "sum_axis": lambda p, r: (p.sum(axis=0) * t(r.normal(size=(4,)), False)).mean(),
     "transpose": lambda p, r: (p.transpose_last() @ p).sum(),
-    "reshape": lambda p, r: (p.reshape((2, 6)) * t(r.normal(size=(2, 6)), False)).sum(),
+    "reshape": lambda p, r: (reshape(p, (2, 6)) * t(r.normal(size=(2, 6)), False)).sum(),
     "concat": lambda p, r: concat([p, p * 2.0], axis=-1).sum(),
     "narrow": lambda p, r: narrow(p, axis=-1, start=1, stop=3).sum(),
     "expand_leading": lambda p, r: (

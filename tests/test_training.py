@@ -1,9 +1,11 @@
 """Optimizer, stage loop, freezing byte-parity, checkpoints, benchmark driver."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from promptcl import (
     Adam,
@@ -48,6 +50,13 @@ def micro_dataset(seed=1, **spec_overrides):
                    min_labels=1, max_labels=2, min_positive=5, stamp_seed=3)
     spec_kw.update(spec_overrides)
     return generate_dataset(SyntheticSpec(**spec_kw), seed=seed)
+
+
+def stage_mask(state, stage, cfg):
+    """The mask ``run_benchmark`` trains ``stage`` with: earlier entries frozen, then the mask computed."""
+    freeze_previous(state.pool, state.bank, stage, freeze_prompts=not cfg.prompts_unfrozen)
+    return compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone,
+                                  ca_unfrozen=cfg.ca_unfrozen)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -102,7 +111,7 @@ def test_stage_training_reduces_loss():
     images = ds.train_images[task.train_indices]
     labels = mask_to_task(ds.train_labels[task.train_indices], task.class_ids)
     before = float(asl_loss(forward_logits(state, images, task.class_ids), labels, cfg.asl).data)
-    stats = train_stage(state, task, ds, cfg)
+    stats = train_stage(state, task, ds, cfg, stage_mask(state, 1, cfg))
     after = float(asl_loss(forward_logits(state, images, task.class_ids), labels, cfg.asl).data)
     assert after < before
     assert stats["steps"] == cfg.epochs * int(np.ceil(task.train_indices.size / cfg.batch_size))
@@ -115,7 +124,7 @@ def test_stage_two_leaves_frozen_bytes_untouched():
     stream = build_task_stream(ds, 2, 2)
 
     add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
-    train_stage(state, stream.tasks[0], ds, cfg)
+    train_stage(state, stream.tasks[0], ds, cfg, stage_mask(state, 1, cfg))
 
     add_class_prompts(state.pool, state.bank, stream.tasks[1].class_ids, stage=2)
     freeze_previous(state.pool, state.bank, current_stage=2)
@@ -136,7 +145,7 @@ def test_fit_restores_requires_grad():
     state = build_model(cfg.model)
     stream = build_task_stream(ds, 2, 2)
     add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
-    train_stage(state, stream.tasks[0], ds, cfg)
+    train_stage(state, stream.tasks[0], ds, cfg, stage_mask(state, 1, cfg))
     assert all(t.requires_grad for t in named_params(state).values())
 
 
@@ -181,7 +190,7 @@ def test_stage_with_a_nan_pixel_stops_before_the_weights_move():
     ds.train_images[:, 3, 5] = np.nan  # one bad pixel in every image: step 0 diverges
     before = params_digest(named_params(state))
     with pytest.raises(ValueError, match="stage 1: loss is nan at step 0"):
-        train_stage(state, task, ds, cfg)
+        train_stage(state, task, ds, cfg, stage_mask(state, 1, cfg))
     assert params_digest(named_params(state)) == before
     assert len(active_tape()) == 0
 
@@ -193,7 +202,7 @@ def test_training_is_seed_deterministic():
         state = build_model(cfg.model)
         stream = build_task_stream(ds, 2, 2)
         add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
-        train_stage(state, stream.tasks[0], ds, cfg)
+        train_stage(state, stream.tasks[0], ds, cfg, stage_mask(state, 1, cfg))
         return params_digest(named_params(state))
 
     assert one_run() == one_run()
@@ -300,7 +309,7 @@ def trained_micro_state():
     state = build_model(cfg.model)
     stream = build_task_stream(ds, 2, 2)
     add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
-    train_stage(state, stream.tasks[0], ds, cfg)
+    train_stage(state, stream.tasks[0], ds, cfg, stage_mask(state, 1, cfg))
     add_class_prompts(state.pool, state.bank, stream.tasks[1].class_ids, stage=2)
     freeze_previous(state.pool, state.bank, 2)
     return state
@@ -331,6 +340,25 @@ def test_checkpoint_preserves_predictions(tmp_path):
     save_checkpoint(tmp_path / "m.npz", state)
     back = load_checkpoint(tmp_path / "m.npz")
     assert np.array_equal(forward_logits(back, ds.test_images[:4]).data, logits)
+
+
+def test_a_failed_save_leaves_the_old_checkpoint_intact(tmp_path, monkeypatch):
+    path = tmp_path / "bk.npz"
+    save_checkpoint(path, build_model(ModelConfig(**MICRO_MODEL)))
+    old = path.read_bytes()
+    write_array, calls = npy_format.write_array, []
+
+    def failing_write(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(npy_format, "write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, trained_micro_state())
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["bk.npz"]
 
 
 @pytest.mark.parametrize("use_adapters", [True, False], ids=["adapters", "no-adapters"])

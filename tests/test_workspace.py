@@ -38,7 +38,7 @@ from promptcl.tensor import (
     stable_sigmoid,
     step_workspace,
 )
-from test_training import micro_config, micro_dataset
+from test_training import micro_config, micro_dataset, stage_mask
 
 
 def fit_case(case):
@@ -62,7 +62,7 @@ def fit_case(case):
             add_class_prompts(state.pool, state.bank, stream.tasks[0].class_ids, stage=1)
             task = stream.tasks[0]
             if case == "stage-2":
-                training.train_stage(state, task, ds, cfg)
+                training.train_stage(state, task, ds, cfg, stage_mask(state, 1, cfg))
                 task = stream.tasks[1]
                 add_class_prompts(state.pool, state.bank, task.class_ids, stage=2)
                 freeze_previous(state.pool, state.bank, 2)
@@ -513,6 +513,7 @@ def test_adjoints_stay_right_when_new_leaves_reuse_dropped_tensors_addresses(mon
 FAULT_PROBE = """
 import json, resource, sys
 from promptcl import ModelConfig, RunConfig, SyntheticSpec, build_model, build_task_stream, generate_dataset, training
+from promptcl.adapters import compute_trainable_mask
 from promptcl.prompts import add_class_prompts
 
 faults = []
@@ -528,7 +529,8 @@ ds = generate_dataset(SyntheticSpec(), 1)
 state = build_model(cfg.model)
 task = build_task_stream(ds, 4, 4).tasks[0]
 add_class_prompts(state.pool, state.bank, task.class_ids, stage=1)
-training.train_stage(state, task, ds, cfg)
+mask = compute_trainable_mask(1, state.pool, state.bank, state.adapters, state.backbone)
+training.train_stage(state, task, ds, cfg, mask)
 json.dump({"n": int(task.train_indices.size), "faults": faults}, sys.stdout)
 """
 
