@@ -51,6 +51,7 @@ from .tensor import (
     expand_leading,
     layer_norm_affine,
     linear,
+    mlp,
     multi_head_attention,
     narrow,
     no_grad,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeds import normal_init, seeded_rng
-from .tensor import Tensor, linear
+from .tensor import Tensor, mlp
 
 
 @dataclass
@@ -58,9 +58,9 @@ def attach_adapters(config) -> AdapterStack:
 def adapter_forward(x: Tensor, adapter: AdapterLayer, residual: Tensor,
                     pad_rows: int | None = None) -> Tensor:
     """``residual`` (in a block, the MLP output) plus the adapter branch of ``x``,
-    joined in the up-projection's ``linear``; ``pad_rows`` as in ``linear``."""
-    hidden = linear(x, adapter.down_w, adapter.down_b, relu=True, pad_rows=pad_rows)
-    return linear(hidden, adapter.up_w, adapter.up_b, residual=residual, pad_rows=pad_rows)
+    joined in the branch's ``mlp``; ``pad_rows`` as in ``linear``."""
+    return mlp(x, adapter.down_w, adapter.down_b, adapter.up_w, adapter.up_b, residual=residual,
+               pad_rows=pad_rows)
 
 
 def compute_trainable_mask(

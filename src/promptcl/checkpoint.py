@@ -13,11 +13,9 @@ so, and they carry no flag of their own. The map stays because the
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
-import os
 import zipfile
 from dataclasses import asdict
 
@@ -25,6 +23,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .model import ModelState, build_model, named_params
+from .seeds import replacing
 from .tensor import Tensor
 from .vit import ModelConfig
 
@@ -73,19 +72,12 @@ def _write_npz(path, blobs: dict[str, np.ndarray]) -> None:
     The archive is written beside ``path`` and renamed over it, so a save
     that fails leaves the file it was replacing intact.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for name in sorted(blobs):
-                buf = io.BytesIO()
-                npy_format.write_array(buf, np.asanyarray(blobs[name]), allow_pickle=False)
-                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-                zf.writestr(info, buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with replacing(path) as tmp, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name in sorted(blobs):
+            buf = io.BytesIO()
+            npy_format.write_array(buf, np.asanyarray(blobs[name]), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())
 
 
 def load_checkpoint(path) -> ModelState:

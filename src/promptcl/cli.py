@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import fields
@@ -20,6 +21,7 @@ from .datagen import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
 from .model import build_model
 from .protocol import METHODS
 from .reporting import load_report, render_report, write_report
+from .seeds import replacing
 from .training import run_benchmark, simulate_pretraining
 
 
@@ -105,20 +107,19 @@ def _cmd_dump_prompts(args) -> int:
     rows = list(state.pool.entries)
     if not rows:
         raise ValueError(f"dump-prompts: {args.checkpoint} holds no prompts")
-    out = args.out
-    fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        d = state.config.embed_dim
-        writer.writerow(["class_id", "stage_added", "frozen"] + [f"v{i}" for i in range(d)])
-        for e in rows:
-            writer.writerow([e.class_id, e.stage_added, int(e.frozen)]
-                            + [f"{v!r}" for v in e.vector.data.tolist()])
-    finally:
-        if out:
-            fh.close()
-    if out:
-        print(f"wrote {len(rows)} prompt vectors to {out}")
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    d = state.config.embed_dim
+    writer.writerow(["class_id", "stage_added", "frozen"] + [f"v{i}" for i in range(d)])
+    for e in rows:
+        writer.writerow([e.class_id, e.stage_added, int(e.frozen)]
+                        + [f"{v!r}" for v in e.vector.data.tolist()])
+    if not args.out:
+        sys.stdout.write(table.getvalue())
+        return 0
+    with replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(table.getvalue())
+    print(f"wrote {len(rows)} prompt vectors to {args.out}")
     return 0
 
 

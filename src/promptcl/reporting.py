@@ -1,7 +1,9 @@
 """Run reports: deterministic JSON payload, CSV table, text rendering.
 
 Wall-clock numbers live in a separate timing file so that two runs of
-the same config produce byte-identical ``report.json`` files.
+the same config produce byte-identical ``report.json`` files. Each file
+is written beside its target and renamed over it, so a write that fails
+leaves the file it was replacing intact.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+
+from .seeds import replacing
 
 REPORT_FORMAT = "promptcl-report-1"
 # every other top-level key of report.json -> type of its value
@@ -43,11 +47,11 @@ def write_report(report: Report, out_dir) -> dict[str, str]:
         "sessions": os.path.join(out_dir, "sessions.csv"),
         "timing": os.path.join(out_dir, "timing.json"),
     }
-    with open(paths["report"], "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(paths["report"]) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json())
     sessions = report.payload["sessions"]
     n_tasks = len(sessions[-1]["per_task_map"]) if sessions else 0
-    with open(paths["sessions"], "w", encoding="utf-8", newline="") as fh:
+    with replacing(paths["sessions"]) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["session", "new_classes", "trainable_params", "map", "cf1", "of1"]
@@ -65,7 +69,7 @@ def write_report(report: Report, out_dir) -> dict[str, str]:
             row += [f"{v:.6f}" for v in s["per_task_map"]]
             row += [""] * (n_tasks - len(s["per_task_map"]))
             writer.writerow(row)
-    with open(paths["timing"], "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(paths["timing"]) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.timing, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return paths

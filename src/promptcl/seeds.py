@@ -1,17 +1,20 @@
-"""Deterministic RNG streams, weight init, and the input rules all modules share.
+"""Deterministic RNG streams, weight init, and the input and output rules all modules share.
 
 Every random draw flows through ``seeded_rng``, so a run is reproducible
 from one integer seed plus short purpose tags, and every drawn weight has
 the std ``INIT_STD``. ``check_fields`` is the field check of every
 settings dataclass; ``text_lines`` reads every line-oriented text input
-(config file, embedding table, dataset manifest). Imports nothing from
-the package, so every module may use it.
+(config file, embedding table, dataset manifest), and ``replacing``
+writes the run outputs (report files, checkpoints, prompt dumps).
+Imports nothing from the package, so every module may use it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 from typing import get_type_hints
 
 import numpy as np
@@ -66,3 +69,21 @@ def text_lines(path) -> list[tuple[int, str]]:
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     return [(n, line) for n, line in enumerate(lines, start=1) if line and not line.startswith("#")]
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """The name of a temporary file beside ``path``, renamed over ``path`` when the block ends.
+
+    Write the new contents there, and close it, inside the block. A block
+    that raises removes the temporary file and leaves ``path`` as it was,
+    so a failed write never leaves a half-written output.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -96,10 +96,12 @@ class _Workspace:
 
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> Array:
         n = math.prod(shape)
-        size = -(-n * np.dtype(dtype).itemsize // 64) * 8
-        fits = [(end - start, start) for start, end in self.holes.items() if end - start >= size]
-        if fits:
-            start = min(fits)[1]
+        size = -(-n * (8 if dtype is np.float64 else np.dtype(dtype).itemsize) // 64) * 8
+        start, room = -1, 0  # the smallest hole that holds it, the lowest of equal ones
+        for at, end in self.holes.items():
+            if size <= end - at and (start < 0 or end - at < room or end - at == room and at < start):
+                start, room = at, end - at
+        if start >= 0:
             end = self.holes.pop(start)
             del self.starts[end]
             if start + size < end:
@@ -298,7 +300,7 @@ def _recorded(inputs: tuple[Tensor, ...]) -> bool:
 
 def _record(inputs: tuple[Tensor, ...], out_data: Array, pullback: Pullback) -> Tensor:
     """The output tensor; recorded, with its pullback, when any input takes a gradient."""
-    if _recorded(inputs):
+    if _RECORDING[-1] and any(t.requires_grad for t in inputs):  # _recorded(inputs), inline
         out = Tensor(out_data, requires_grad=True)
         _TAPE.record(out, inputs, pullback)
         return out
@@ -477,11 +479,18 @@ def _softmax_pullback(g: Array, out: Array, into: Array | None = None,
     return res
 
 
+def _row_mean(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)``: the sum and the division it makes, without its Python wrapper."""
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= x.shape[-1]
+    return mean
+
+
 def _normalize(x: Array, out: Array | None = None, scratch: Array | None = None) -> tuple[Array, Array]:
     """Last-axis standardisation ``(x - mu) * inv`` and the reciprocal deviation ``inv``."""
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _row_mean(x)
     xc = np.subtract(x, mu, out=out)
-    var = np.multiply(xc, xc, out=scratch).mean(axis=-1, keepdims=True)
+    var = _row_mean(np.multiply(xc, xc, out=scratch))
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xc *= inv
     return xc, inv
@@ -490,8 +499,8 @@ def _normalize(x: Array, out: Array | None = None, scratch: Array | None = None)
 def _normalize_pullback(g: Array, out: Array, inv: Array, into: Array | None = None,
                         scratch: Array | None = None) -> Array:
     """``(g - mean(g) - out * mean(g * out)) * inv`` over the last axis."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gy = np.multiply(g, out, out=scratch).mean(axis=-1, keepdims=True)
+    gm = _row_mean(g)
+    gy = _row_mean(np.multiply(g, out, out=scratch))
     res = np.subtract(g, gm, out=into)
     res -= np.multiply(out, gy, out=scratch)
     res *= inv
@@ -613,10 +622,17 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
 
 _SLICE = 8  # items of the first axis in one slice of a batch-wide pullback temporary
 _STACK = 1 << 17  # elements (1 MB): a larger weight-gradient stack is made in slices
+_TILE = 16  # items of the first axis in one tile of a tiled op's score- or hidden-sized temporaries
 
 
-def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None) -> Array:
-    """``g @ w.T`` into a new buffer of ``shape``, computed on ``pad_rows`` rows when given.
+def _items(a: Array) -> Array:
+    """``a`` as a stack of items along its first axis: a 2-D array is one item."""
+    return a if a.ndim > 2 else a[None]
+
+
+def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None,
+                out: Array | None = None) -> Array:
+    """``g @ w.T`` into ``out``, else a new buffer of ``shape``, computed on ``pad_rows`` rows when given.
 
     The padded product is made ``_SLICE`` items at a time: a stacked
     ``matmul`` makes the same per-matrix BLAS call whatever its batch
@@ -624,10 +640,10 @@ def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None
     """
     wt = np.swapaxes(w, -1, -2)
     rows = shape[-2]
+    gx = _empty(shape) if out is None else out
     if pad_rows is None or pad_rows == rows:
-        return np.matmul(g, wt, out=_empty(shape))
-    gx = _empty(shape)
-    items, g = (gx, g) if len(shape) > 2 else (gx[None], g[None])
+        return np.matmul(g, wt, out=gx)
+    items, g = _items(gx), _items(g)
     padded = _zeros((min(_SLICE, len(items)),) + items.shape[1:-2] + (pad_rows, g.shape[-1]))
     full = _empty(padded.shape[:-1] + shape[-1:])
     for s in range(0, len(items), _SLICE):
@@ -638,30 +654,56 @@ def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None
     return gx
 
 
+def _running_sum(stack: Array, acc: Array, first: bool) -> None:
+    """Sum ``stack[1:]`` over its first axis into ``acc``, after what ``acc`` holds unless ``first``.
+
+    NumPy sums a stack over its first axis strictly in order, so a sum
+    carried through the slot ``stack[0]`` from one part of a stack into
+    the next gives the bytes of the whole stack's sum.
+    """
+    if not first:
+        stack[0] = acc
+    np.add.reduce(stack[1 if first else 0:], axis=0, out=acc)
+
+
 def _weight_grad(x: Array, g: Array, ws: tuple[int, ...]) -> Array:
     """``x.T @ g`` summed over the leading batch axes, as ``_unbroadcast`` sums it.
 
-    NumPy sums a stack over its leading axes strictly in order, so a stack
-    of more than ``_STACK`` elements is made ``_SLICE`` items at a time,
-    each slice's sum starting from the sum of the slices before it.
+    A stack of more than ``_STACK`` elements is made ``_SLICE`` items at a
+    time, each slice's sum carried on by ``_running_sum``.
     """
     xt, lead = np.swapaxes(x, -1, -2), x.shape[:-2]
     if not lead or math.prod(lead + ws) <= _STACK:
         return _unbroadcast(np.matmul(xt, g, out=_empty(lead + ws)), ws)
     per = math.prod(lead[1:])  # matrices in one item
-    stack, acc = _empty((1 + _SLICE * per,) + ws), _empty(ws)  # stack[0] holds the running sum
+    stack, acc = _empty((1 + _SLICE * per,) + ws), _empty(ws)
     for s in range(0, lead[0], _SLICE):
         end = 1 + min(_SLICE, lead[0] - s) * per
         np.matmul(xt[s:s + _SLICE], g[s:s + _SLICE], out=stack[1:end].reshape((-1,) + lead[1:] + ws))
-        if s:
-            stack[0] = acc
-        np.add.reduce(stack[0 if s else 1:end], axis=0, out=acc)
+        _running_sum(stack[:end], acc, s == 0)
     return acc
 
 
+def _check_linear(op: str, xs: tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    if len(xs) < 2 or w.ndim != 2 or b.shape != w.shape[1:] or xs[-1] != w.shape[0]:
+        raise ValueError(
+            f"{op}: shapes x {xs}, w {w.shape}, b {b.shape} do not chain "
+            "(need x (..., n, k), w (k, m), b (m,))"
+        )
+
+
+def _check_joins(op: str, x: Tensor, shape: tuple[int, ...], residual: Tensor | None,
+                 pad_rows: int | None) -> None:
+    if pad_rows is not None and pad_rows < x.shape[-2]:
+        raise ValueError(f"{op}: pad_rows {pad_rows} is fewer than the rows of x {x.shape}")
+    if residual is not None and (residual.ndim > len(shape)
+                                 or shape[len(shape) - residual.ndim:] != residual.shape):
+        raise ValueError(f"{op}: residual {residual.shape} is not a trailing suffix of output {shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
-           relu: bool = False, pad_rows: int | None = None) -> Tensor:
-    """``x @ w + b``, plus ``residual`` when given, then ReLU when asked.
+           pad_rows: int | None = None) -> Tensor:
+    """``x @ w + b``, plus ``residual`` when given.
 
     ``residual`` may be the output's shape or a trailing suffix of it, with
     the bytes of ``add(x @ w + b, residual)``; the pullback keeps its shape.
@@ -676,41 +718,110 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     bytes (see ``_input_grad`` and ``_weight_grad``), so that they no
     longer set a training step's peak.
     """
-    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
-        raise ValueError(
-            f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not chain "
-            "(need x (..., n, k), w (k, m), b (m,))"
-        )
-    if pad_rows is not None and pad_rows < x.shape[-2]:
-        raise ValueError(f"linear: pad_rows {pad_rows} is fewer than the rows of x {x.shape}")
-    inputs = (x, w, b)
+    _check_linear("linear", x.shape, w, b)
     shape = x.shape[:-1] + w.shape[1:]
+    _check_joins("linear", x, shape, residual, pad_rows)
     joined = residual is not None
-    if joined:
-        if residual.ndim > len(shape) or shape[len(shape) - residual.ndim:] != residual.shape:
-            raise ValueError(f"linear: residual {residual.shape} is not a trailing suffix of output {shape}")
-        inputs += (residual,)
+    inputs = (x, w, b, residual) if joined else (x, w, b)
     out = np.matmul(x.data, w.data, out=_empty(shape))
     out += b.data
     if joined:
         out += residual.data
-    mask = None
-    if relu:
-        np.maximum(out, 0.0, out=out)
-        if _recorded(inputs):  # a byte per element, where the output would keep eight
-            mask = np.greater(out, 0.0, out=_empty(shape, np.bool_))
     xs, ws, bs = x.shape, w.shape, _grad_shape(b)
     wd = w.data if x.requires_grad else None
     xd = x.data if w.requires_grad else None
     rs = _grad_shape(residual) if joined else None
 
     def pullback(g):
-        if mask is not None:  # masked in place unless backward shares g (see there)
-            g = np.multiply(g, mask, out=g if g.flags.writeable else _empty(g.shape))
         gx = None if wd is None else _input_grad(g, wd, xs, pad_rows)
         gw = None if xd is None else _weight_grad(xd, g, ws)
         gb = _unbroadcast(g, bs)
         return (gx, gw, gb, _unbroadcast(g, rs)) if joined else (gx, gw, gb)
+
+    return _record(inputs, out, pullback)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor | None = None,
+        pad_rows: int | None = None) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2``, plus ``residual`` when given, as one tape entry.
+
+    It has the bytes of ``linear(maximum(linear(x, w1, b1), 0), w2, b2,
+    residual)``, with ``residual`` and ``pad_rows`` as in ``linear``, but
+    never holds the whole batch's hidden layer as a temporary: forward and
+    pullback run ``_TILE`` items of the first axis at a time, and each tile
+    gets the bits of the whole batch's products (see ``_input_grad``). The
+    weight and bias sums over the hidden layer's adjoint carry on from tile
+    to tile through ``_running_sum``. What the pullback reads is kept whole:
+    the ReLU's one-byte mask, and the hidden layer itself only when ``w2``
+    takes a gradient. NumPy sums a one-column stack pairwise, not in
+    order, so a one-wide hidden layer is made in a single tile.
+    """
+    hidden_shape, width = x.shape[:-1] + w1.shape[1:], w1.shape[-1]
+    _check_linear("mlp", x.shape, w1, b1)
+    _check_linear("mlp", hidden_shape, w2, b2)
+    shape = x.shape[:-1] + w2.shape[1:]
+    _check_joins("mlp", x, shape, residual, pad_rows)
+    joined = residual is not None
+    inputs = (x, w1, b1, w2, b2, residual) if joined else (x, w1, b1, w2, b2)
+    recorded = _recorded(inputs)
+    through = recorded and (x.requires_grad or w1.requires_grad or b1.requires_grad)
+    xi = _items(x.data)
+    tile = max(1, len(xi) if width == 1 else min(_TILE, len(xi)))
+    mask = _empty(hidden_shape, np.bool_) if through else None  # a byte per element, where the layer keeps eight
+    out = _empty(shape)
+    oi = _items(out)
+    hidden = _empty(hidden_shape) if recorded and w2.requires_grad else None
+    hi = _items(hidden) if hidden is not None else _empty((tile,) + xi.shape[1:-1] + (width,))
+    ri = None if not joined or residual.ndim < len(shape) else _items(residual.data)
+    for s in range(0, len(xi), tile):
+        e = min(s + tile, len(xi))
+        h = hi[s:e] if hidden is not None else hi[:e - s]
+        np.matmul(xi[s:e], w1.data, out=h)
+        h += b1.data
+        np.maximum(h, 0.0, out=h)
+        if mask is not None:
+            np.greater(h, 0.0, out=_items(mask)[s:e])
+        o = oi[s:e]
+        np.matmul(h, w2.data, out=o)
+        o += b2.data
+        if joined:
+            o += residual.data if ri is None else ri[s:e]
+    xs, w1s, b1s, w2s, b2s = x.shape, w1.shape, _grad_shape(b1), w2.shape, _grad_shape(b2)
+    w1d = w1.data if x.requires_grad else None
+    xd = x.data if w1.requires_grad else None
+    w2d = w2.data if through else None
+    rs = _grad_shape(residual) if joined else None
+
+    def pullback(g):
+        gw2 = None if hidden is None else _weight_grad(hidden, g, w2s)
+        gb2 = _unbroadcast(g, b2s)
+        gx = gw1 = gb1 = None
+        if mask is not None:
+            gi, mi = _items(g), _items(mask)
+            rows = mi.shape[1:-1]  # of one item
+            per, rows_per = math.prod(rows[:-1]), math.prod(rows)
+            gx = None if w1d is None else _empty(xs)
+            gw1 = None if xd is None else _zeros(w1s)  # zeros for an empty batch, else overwritten
+            gb1 = None if b1s is None else _zeros(b1s)
+            # one tile's hidden adjoint and weight-gradient stack, each with a slot 0
+            # that carries its sum from tile to tile
+            ghs = _empty((1 + tile * rows_per, width))
+            gws = None if xd is None else _empty((1 + tile * per,) + w1s)
+            for s in range(0, len(gi), tile):
+                e = min(s + tile, len(gi))
+                gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,))
+                _input_grad(gi[s:e], w2d, gh.shape, pad_rows, out=gh)
+                np.multiply(gh, mi[s:e], out=gh)
+                if gx is not None:
+                    _input_grad(gh, w1d, gh.shape[:-1] + xs[-1:], pad_rows, out=_items(gx)[s:e])
+                if gw1 is not None:
+                    end = 1 + (e - s) * per
+                    xt = np.swapaxes(_items(xd)[s:e], -1, -2)
+                    np.matmul(xt, gh, out=gws[1:end].reshape(xt.shape[:-2] + w1s))
+                    _running_sum(gws[:end], gw1, s == 0)
+                if gb1 is not None:
+                    _running_sum(ghs[:1 + (e - s) * rows_per], gb1, s == 0)
+        return (gx, gw1, gb1, gw2, gb2) + ((_unbroadcast(g, rs),) if joined else ())
 
     return _record(inputs, out, pullback)
 
@@ -777,16 +888,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         """The (..., heads, rows, dh) view of a (..., rows, d) array."""
         return np.swapaxes(a.reshape(a.shape[:-1] + (heads, dh)), -2, -3)
 
-    def keys_t() -> Array:
-        # rebuilt in the pullback, not kept
-        kt = _empty(head_t)
-        kt[...] = np.swapaxes(split(kd), -1, -2)
-        return kt
-
-    qh, vh, kd = split(q.data), split(v.data), k.data
+    qh, vh, kh = split(q.data), split(v.data), split(k.data)
     if dh == 1:  # one-feature heads are vectors to BLAS, whose bits depend on their stride
         qh, vh = qh.copy(), vh.copy()
-    kt = keys_t()
+    kt = _empty(head_t)
+    kt[...] = np.swapaxes(kh, -1, -2)
     attn = np.matmul(qh, kt, out=_empty(scores))
     del kt  # handed back here, so that the output may reuse its memory
     attn *= scale
@@ -803,21 +909,28 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             gv = _empty(kv_shape)
             np.matmul(np.swapaxes(attn, -1, -2), go, out=split(gv))
         if need_q or need_k:
-            gs = np.matmul(go, np.swapaxes(vh, -1, -2), out=_empty(scores))
-            tmp = _empty(scores)
-            _softmax_pullback(gs, attn, into=gs, scratch=tmp)
-            del tmp  # before the buffers below are taken, so that they may reuse it
-            gs *= scale
-            kt = keys_t()
-            if need_q:
-                gq = _empty(q_shape)
-                np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq))
-            if need_k:
-                np.matmul(np.swapaxes(qh, -1, -2), gs, out=kt)
-            del gs  # before gk is taken, so that it may reuse it
-            if need_k:
-                gk = _empty(kv_shape)
-                split(gk)[...] = np.swapaxes(kt, -1, -2)
+            gq = _empty(q_shape) if need_q else None
+            gk = _empty(kv_shape) if need_k else None
+            # the operands as stacks along the first axis (one item without batch axes),
+            # and one tile's score-sized buffers: the scores' adjoint, the softmax scratch
+            # and the transposed keys
+            lift = (lambda a: a) if lead else (lambda a: a[None])
+            go_, vh_, qh_, kh_, attn_ = map(lift, (go, vh, qh, kh, attn))
+            tile, item = max(1, min(_TILE, len(go_))), slice(1 if lead else 0, None)
+            gs_t, tmp_t = _empty((tile,) + scores[item]), _empty((tile,) + scores[item])
+            kt_t = _empty((tile,) + head_t[item])
+            for s in range(0, len(go_), tile):
+                e = min(s + tile, len(go_))
+                gs, kt = gs_t[:e - s], kt_t[:e - s]
+                np.matmul(go_[s:e], np.swapaxes(vh_[s:e], -1, -2), out=gs)
+                _softmax_pullback(gs, attn_[s:e], into=gs, scratch=tmp_t[:e - s])
+                gs *= scale
+                kt[...] = np.swapaxes(kh_[s:e], -1, -2)
+                if need_q:
+                    np.matmul(gs, np.swapaxes(kt, -1, -2), out=lift(split(gq))[s:e])
+                if need_k:
+                    np.matmul(np.swapaxes(qh_[s:e], -1, -2), gs, out=kt)
+                    lift(split(gk))[s:e] = np.swapaxes(kt, -1, -2)
         if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
             for grad in (gq, gk, gv):
                 if grad is not None:
@@ -850,7 +963,9 @@ def row_readout(x: Tensor, rows: Sequence[int], weights: Sequence[Tensor],
             )
     picked = x.data[..., list(rows), :]
     wd = np.stack([w.data for w in weights])
-    out = (picked * wd).sum(axis=-1)
+    # row-major, as the chain's concatenated columns are: indexing lays the picked rows out
+    # outermost, and a later sum over the whole output would add in another order
+    out = np.ascontiguousarray((picked * wd).sum(axis=-1))
     out += np.array([b.data for b in biases])
     order = range(m - 1, -1, -1)
     sx = _grad_shape(x)

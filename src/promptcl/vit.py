@@ -22,6 +22,7 @@ from .tensor import (
     expand_leading,
     layer_norm_affine,
     linear,
+    mlp,
     multi_head_attention,
     narrow,
 )
@@ -189,8 +190,7 @@ def _attention(x: Tensor, block: BlockParams, heads: int, residual: Tensor,
 
 def _mlp(x: Tensor, block: BlockParams, residual: Tensor, pad_rows: int | None = None) -> Tensor:
     """``residual`` plus the two-layer ReLU MLP of ``x``."""
-    hidden = linear(x, block.w1, block.b1, relu=True, pad_rows=pad_rows)
-    return linear(hidden, block.w2, block.b2, residual=residual, pad_rows=pad_rows)
+    return mlp(x, block.w1, block.b1, block.w2, block.b2, residual=residual, pad_rows=pad_rows)
 
 
 def sab_forward(x: Tensor, block: BlockParams, heads: int, adapter: AdapterLayer | None = None,

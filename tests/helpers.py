@@ -118,11 +118,13 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     return tensor._record((a,), out, pullback)
 
 
-def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None, relu=False) -> Tensor:
+def reference_linear(x: Tensor, w: Tensor, b: Tensor, residual=None) -> Tensor:
     out = x @ w + b
-    if residual is not None:
-        out = out + residual
-    return maximum(out, 0.0) if relu else out
+    return out if residual is None else out + residual
+
+
+def reference_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual=None) -> Tensor:
+    return reference_linear(maximum(reference_linear(x, w1, b1), 0.0), w2, b2, residual)
 
 
 def reference_layer_norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

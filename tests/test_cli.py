@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptcl import ShiftParams, SyntheticSpec, generate_dataset, load_dataset
+from promptcl import ShiftParams, SyntheticSpec, cli, generate_dataset, load_dataset, reporting
 from promptcl.cli import build_parser, main
+from promptcl.reporting import Report, write_report
 
 MICRO_CONF = """
 dataset     = {dataset}
@@ -179,6 +180,58 @@ def test_dump_prompts_to_stdout(micro_run, capsys):
     out = capsys.readouterr().out
     assert out.startswith("class_id,stage_added,frozen")
     assert len(out.strip().splitlines()) == 1 + 8
+
+
+class HalfWritten:
+    """A text file whose first write stops half way through, with a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def failing_open(target):
+    """``open`` that gives a ``HalfWritten`` file for a temporary file beside ``target``."""
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWritten(fh) if os.path.basename(path).startswith(target.name + ".") else fh
+    return opener
+
+
+REPORT_FILES = ["report.json", "sessions.csv", "timing.json"]
+
+
+@pytest.mark.parametrize("name", REPORT_FILES)
+def test_a_failed_report_write_leaves_the_old_file_intact(micro_run, tmp_path, monkeypatch, name):
+    for n in REPORT_FILES:
+        shutil.copy(micro_run["out_dir"] / n, tmp_path / n)
+    old = (tmp_path / name).read_bytes()
+    payload = json.loads(old if name == "report.json" else (tmp_path / "report.json").read_bytes())
+    payload["sessions"] = payload["sessions"][:2]
+    monkeypatch.setattr(reporting, "open", failing_open(tmp_path / name), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_report(Report(payload, timing={"run_s": 1.0}), tmp_path)
+    assert (tmp_path / name).read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == REPORT_FILES  # no temporary file left behind
+
+
+def test_a_failed_prompt_dump_leaves_the_old_csv_intact(micro_run, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "prompts.csv"
+    out.write_text("old\n")
+    monkeypatch.setattr(cli, "open", failing_open(out), raising=False)
+    rc = main(["dump-prompts", "--checkpoint", str(micro_run["out_dir"] / "stage_05.npz"), "--out", str(out)])
+    assert rc == 1 and capsys.readouterr().err.startswith("error: [Errno 28] No space left")
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["prompts.csv"]
 
 
 def test_print_config_exits_clean(capsys):

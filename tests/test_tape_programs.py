@@ -7,7 +7,8 @@ and the rest dropped before ``backward``, bar a few held past it. Each
 program runs outside a step workspace, in one, and in a
 ``tensor._POISON`` one; with every value held to the end (so no dropped
 tensor's address is reused); and in a poisoned workspace whose ``linear``
-pullbacks are sliced at every batch size. Every op's output, the loss,
+pullbacks are sliced, and whose ``mlp`` and attention run in tiles, at
+every batch size. Every op's output, the loss,
 the held values and every leaf gradient must be the same bytes each way.
 A directional finite difference checks the gradients of the plain run,
 and a held value takes a second ``backward``'s gradient as a leaf does.
@@ -28,7 +29,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_attention, reference_layer_norm_affine, reference_linear, reference_readout
+from helpers import (
+    reference_attention,
+    reference_layer_norm_affine,
+    reference_linear,
+    reference_mlp,
+    reference_readout,
+)
 from promptcl import (
     Tensor,
     backward,
@@ -36,6 +43,7 @@ from promptcl import (
     expand_leading,
     layer_norm_affine,
     linear,
+    mlp,
     multi_head_attention,
     narrow,
     no_grad,
@@ -50,18 +58,20 @@ BIG = 512  # no op makes a value larger than this
 
 
 class Ops(NamedTuple):
-    """The four fused ops a program calls, or their chains, and whether it keeps their operands apart:
+    """The five fused ops a program calls, or their chains, and whether it keeps their operands apart:
     no operand, and no readout row, read twice by one op, and no ``pad_rows``."""
     linear: Callable
+    mlp: Callable
     layer_norm_affine: Callable
     attention: Callable
     readout: Callable
     apart: bool
 
 
-FUSED = Ops(linear, layer_norm_affine, multi_head_attention, row_readout, apart=False)
+FUSED = Ops(linear, mlp, layer_norm_affine, multi_head_attention, row_readout, apart=False)
 APART = FUSED._replace(apart=True)
-CHAINS = Ops(reference_linear, reference_layer_norm_affine, reference_attention, reference_readout, apart=True)
+CHAINS = Ops(reference_linear, reference_mlp, reference_layer_norm_affine, reference_attention, reference_readout,
+             apart=True)
 
 
 def pick(pool, c, ok=lambda t: True):
@@ -97,16 +107,32 @@ def picker(ops):
     return take
 
 
+def suffix_of_output(x):
+    """Whether a value may be the residual of an op whose output is shaped like ``x``."""
+    return lambda t: t.ndim <= x.ndim and x.shape[x.ndim - t.ndim:] == t.shape
+
+
 def op_linear(pool, c, ops):
     take = picker(ops)
     x, w, b = take(pool, c[0], featured), take(pool, c[1], shaped((D, D))), take(pool, c[2], shaped((D,)))
     if None in (x, w, b):
         return None
-    suffix = lambda t: t.ndim <= x.ndim and x.shape[x.ndim - t.ndim:] == t.shape  # of the output's shape
-    residual = take(pool, c[3], suffix) if c[4] & 1 else None
+    residual = take(pool, c[3], suffix_of_output(x)) if c[4] & 1 else None
     if c[4] & 4 and not ops.apart:
-        return linear(x, w, b, residual=residual, relu=bool(c[4] & 2), pad_rows=x.shape[-2] + c[5] % 4)
-    return ops.linear(x, w, b, residual=residual, relu=bool(c[4] & 2))
+        return linear(x, w, b, residual=residual, pad_rows=x.shape[-2] + c[5] % 4)
+    return ops.linear(x, w, b, residual=residual)
+
+
+def op_mlp(pool, c, ops):
+    take = picker(ops)
+    x, w1, b1 = take(pool, c[0], featured), take(pool, c[1], shaped((D, D))), take(pool, c[2], shaped((D,)))
+    w2, b2 = take(pool, c[1] >> 4, shaped((D, D))), take(pool, c[2] >> 4, shaped((D,)))
+    if None in (x, w1, b1, w2, b2):
+        return None
+    residual = take(pool, c[3], suffix_of_output(x)) if c[4] & 1 else None
+    if c[4] & 4 and not ops.apart:
+        return mlp(x, w1, b1, w2, b2, residual=residual, pad_rows=x.shape[-2] + c[5] % 4)
+    return ops.mlp(x, w1, b1, w2, b2, residual=residual)
 
 
 def op_layer_norm_affine(pool, c, ops):
@@ -181,7 +207,7 @@ def reduction(op):
 
 
 # the fused ops, whose pullbacks hold the most rules, are drawn three times as often
-OPS = [op_linear, op_layer_norm_affine, op_attention, op_row_readout] * 3 + [
+OPS = [op_linear, op_mlp, op_layer_norm_affine, op_attention, op_row_readout] * 3 + [
     op_concat, op_narrow, op_expand_leading, op_reshape, elementwise(add), elementwise(subtract),
     elementwise(multiply), reduction(reduce_sum), reduction(reduce_mean),
     "leaf", "leaf",  # a new leaf mid-program, shaped like a value picked so far, made as one is dropped
@@ -195,8 +221,8 @@ def programs(draw, ops=FUSED):
     lead = draw(st.sampled_from([(), (1,), (3,), (5,), (3, 2)]))
     leaves = [lead + (draw(st.integers(1, 4)), D) for _ in range(draw(st.integers(1, 3)))]
     leaves += [(D, D)] * draw(st.integers(1, 2)) + [(D,)] * draw(st.integers(1, 2)) + [()]
-    if ops.apart:  # enough distinct heads for a three-row readout
-        leaves += [(D,), ()] * 2
+    if ops.apart:  # enough distinct weights for an mlp, and heads for a three-row readout
+        leaves += [(D, D)] + [(D,), ()] * 2
     return {
         "fused": ops,
         "seed": draw(st.integers(0, 1 << 16)),
@@ -261,10 +287,10 @@ def run(program, mode):
 
     Mode ``chains`` runs it as ``plain`` does, with the fused ops' chains.
     """
-    saved = tensor._POISON, tensor._STACK, tensor._SLICE
+    saved = tensor._POISON, tensor._STACK, tensor._SLICE, tensor._TILE
     tensor._POISON = mode in ("poisoned", "sliced")
     if mode == "sliced":
-        tensor._STACK, tensor._SLICE = 1, 2
+        tensor._STACK, tensor._SLICE, tensor._TILE = 1, 2, 2
     try:
         with contextlib.nullcontext() if mode in ("plain", "held", "chains") else tensor.step_workspace() as ws:
             reset_tape()
@@ -282,7 +308,7 @@ def run(program, mode):
             if ws is not None:
                 assert not ws.lent, "a buffer is still lent after the program let go of every value"
     finally:
-        tensor._POISON, tensor._STACK, tensor._SLICE = saved
+        tensor._POISON, tensor._STACK, tensor._SLICE, tensor._TILE = saved
     assert tensor._WORKSPACE is None and len(active_tape()) == 0
     return result
 

@@ -18,6 +18,7 @@ from helpers import (
     reference_attention,
     reference_layer_norm_affine,
     reference_linear,
+    reference_mlp,
     reference_readout,
     scaled_max_error,
     softmax,
@@ -29,6 +30,7 @@ from promptcl import (
     expand_leading,
     layer_norm_affine,
     linear,
+    mlp,
     multi_head_attention,
     narrow,
     no_grad,
@@ -37,7 +39,7 @@ from promptcl import (
     zero_grads,
 )
 from promptcl import tensor
-from promptcl.tensor import active_tape, reshape, step_workspace
+from promptcl.tensor import active_tape, reduce_sum, reshape, step_workspace
 
 
 def t(values, requires_grad=True):
@@ -161,8 +163,9 @@ OP_CASES = {
     "linear": lambda p, r: (
         linear(p, p.transpose_last(), p.sum(axis=-1)) * t(r.normal(size=(3, 3)), False)
     ).sum(),
-    "linear_residual_relu": lambda p, r: (
-        linear(p, p.transpose_last(), p.sum(axis=-1), residual=p @ p.transpose_last(), relu=True)
+    "mlp_residual": lambda p, r: (
+        mlp(p, p.transpose_last(), p.sum(axis=-1), p @ p.transpose_last(), p.mean(axis=-1),
+            residual=p @ p.transpose_last())
         * t(r.normal(size=(3, 3)), False)
     ).sum(),
     "layer_norm_affine": lambda p, r: (
@@ -196,8 +199,8 @@ def test_gradient_matches_finite_difference(name):
         assert err <= 1e-4, f"{name} seed {seed}: scaled error {err}"
 
 
-FUSED = (linear, layer_norm_affine, multi_head_attention, row_readout)
-UNFUSED = (reference_linear, reference_layer_norm_affine, reference_attention, reference_readout)
+FUSED = (linear, mlp, layer_norm_affine, multi_head_attention, row_readout)
+UNFUSED = (reference_linear, reference_mlp, reference_layer_norm_affine, reference_attention, reference_readout)
 
 
 def _block_and_readout(ops, arrays, heads, rows, gamma_trainable, queries=None):
@@ -206,15 +209,14 @@ def _block_and_readout(ops, arrays, heads, rows, gamma_trainable, queries=None):
     With ``queries``, only the first ``queries`` tokens attend (to all
     tokens) and the block outputs only their rows.
     """
-    lin, norm_affine, attention, readout = ops
+    lin, two_layer, norm_affine, attention, readout = ops
     p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
     p["gamma"].requires_grad = gamma_trainable
     h = norm_affine(p["x"], p["gamma"], p["beta"])
     h_q, x_q = (h, p["x"]) if queries is None else (narrow(h, -2, 0, queries), narrow(p["x"], -2, 0, queries))
     q, k, v = lin(h_q, p["wq"], p["bq"]), lin(h, p["wk"], p["bk"]), lin(h, p["wv"], p["bv"])
     x_o = lin(attention(q, k, v, heads), p["wo"], p["bo"], residual=x_q)
-    hidden = lin(norm_affine(x_o, p["gamma"], p["beta"]), p["w1"], p["b1"], relu=True)
-    y = lin(hidden, p["w2"], p["b2"], residual=x_o)
+    y = two_layer(norm_affine(x_o, p["gamma"], p["beta"]), p["w1"], p["b1"], p["w2"], p["b2"], residual=x_o)
     logits = readout(y, rows, [p[f"head{j}_w"] for j in range(len(rows))],
                      [p[f"head{j}_b"] for j in range(len(rows))])
     loss = (logits * Tensor(arrays["target"][..., :len(rows)])).sum()
@@ -261,24 +263,29 @@ def test_fused_ops_are_byte_identical_to_unfused_chain(batch, heads, gamma_train
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
 @pytest.mark.parametrize("residual_trainable", [True, False])
-@pytest.mark.parametrize("relu", [False, True])
-def test_linear_with_a_suffix_residual_is_byte_identical_to_unfused_chain(batch, residual_trainable, relu):
+@pytest.mark.parametrize("op", ["linear", "mlp"])
+def test_linear_with_a_suffix_residual_is_byte_identical_to_unfused_chain(batch, residual_trainable, op):
     # An (N, d) residual on a (B, N, d) output, as the patch positions join
-    # the patch projection: the chain adds it after the linear.
+    # the patch projection: the chain adds it after the linear (or the mlp).
     r = rng_for(batch)
     arrays = {"x": r.normal(size=(batch, 5, 16)), "w": 0.3 * r.normal(size=(16, 8)),
-              "b": 0.1 * r.normal(size=8), "pos": r.normal(size=(5, 8))}
+              "b": 0.1 * r.normal(size=8), "pos": r.normal(size=(5, 8)),
+              "w2": 0.3 * r.normal(size=(8, 8)), "b2": 0.1 * r.normal(size=8)}
     target = r.normal(size=(batch, 5, 8))
     runs = []
-    for lin in (linear, reference_linear):
+    for fused in (True, False):
         p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
         p["pos"].requires_grad = residual_trainable
-        out = lin(p["x"], p["w"], p["b"], residual=p["pos"], relu=relu)
+        if op == "linear":
+            p["w2"].requires_grad = p["b2"].requires_grad = False
+            out = (linear if fused else reference_linear)(p["x"], p["w"], p["b"], residual=p["pos"])
+        else:
+            out = (mlp if fused else reference_mlp)(p["x"], p["w"], p["b"], p["w2"], p["b2"], residual=p["pos"])
         runs.append([out.data.tobytes()])
         backward((out * Tensor(target)).sum())
         runs[-1] += [None if leaf.grad is None else leaf.grad.tobytes() for leaf in p.values()]
     assert runs[0] == runs[1]
-    assert (runs[0][-1] is None) == (not residual_trainable)
+    assert (runs[0][4] is None) == (not residual_trainable)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
@@ -340,19 +347,23 @@ def test_fused_attention_matches_the_unfused_chain_in_every_layout(monkeypatch, 
 
 
 @pytest.mark.parametrize("rows, pad_rows, k, m", [(4, 20, 128, 32), (24, 40, 32, 32), (3, 3, 32, 128)])
-@pytest.mark.parametrize("relu", [False, True])
-def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_rows, k, m, relu):
+@pytest.mark.parametrize("op", ["linear", "mlp"])
+def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_rows, k, m, op):
     # The input gradient of a rows-row input equals, bit for bit, the
     # leading rows of the gradient of a pad_rows-row input whose other rows
     # get zero adjoint. A plain rows-row product differs for some row counts
     # and widths (the first two cases, with OpenBLAS).
     r = rng_for(rows)
     x_all, w, b = r.normal(size=(3, pad_rows, k)), r.normal(size=(k, m)), r.normal(size=m)
+    w2, b2 = r.normal(size=(m, m)), r.normal(size=m)
     target = r.normal(size=(3, rows, m))
 
     def input_grad(x_data, **kwargs):
         x = t(x_data)
-        out = linear(x, t(w), t(b), relu=relu, **kwargs)
+        if op == "linear":
+            out = linear(x, t(w), t(b), **kwargs)
+        else:
+            out = mlp(x, t(w), t(b), t(w2), t(b2), **kwargs)
         backward((narrow(out, -2, 0, rows) * t(target, False)).sum())
         reset_tape()
         return x.grad
@@ -362,6 +373,8 @@ def test_linear_pad_rows_gives_the_leading_rows_of_the_padded_input(rows, pad_ro
     assert padded.tobytes() == np.ascontiguousarray(full[:, :rows]).tobytes()
     with pytest.raises(ValueError, match="pad_rows"):
         linear(t(x_all), t(w), t(b), pad_rows=pad_rows - 1)
+    with pytest.raises(ValueError, match="mlp: pad_rows"):
+        mlp(t(x_all), t(w), t(b), t(w2), t(b2), pad_rows=pad_rows - 1)
 
 
 def one_shot_input_grad(g, w, shape, pad_rows):
@@ -423,12 +436,24 @@ def test_numpy_sums_a_stack_over_its_leading_axes_in_order(lead):
         f"NumPy {np.__version__} no longer sums a stack over its leading axes in order"
 
 
+def test_a_readout_output_sums_as_its_chains_does():
+    # Indexing lays the picked rows out outermost: a readout output in that
+    # layout holds the chain's values, but a sum over all of it added them
+    # column by column (1e16 - 1e16 + 1 + 1 = 2, where the chain gives 1).
+    x = t([[[1e16, 0.0], [1.0, 0.0]], [[-1e16, 0.0], [1.0, 0.0]]], False)
+    weights, biases = [t([1.0, 0.0], False)] * 2, [t(0.0, False)] * 2
+    fused, chain = (op(x, [0, 1], weights, biases) for op in (row_readout, reference_readout))
+    assert fused.data.tobytes() == chain.data.tobytes() and fused.data.flags.c_contiguous
+    assert reduce_sum(fused).item() == reduce_sum(chain).item() == 1.0
+
+
 def test_fused_ops_record_one_tape_entry_each():
     x = t(np.ones((2, 3, 4)))
     w, b, ones = t(np.ones((4, 4))), t(np.zeros(4)), t(np.ones(4))
     for make in (
         lambda: linear(x, w, b),
-        lambda: linear(x, w, b, residual=x, relu=True),
+        lambda: linear(x, w, b, residual=x),
+        lambda: mlp(x, w, b, w, b, residual=x),
         lambda: layer_norm_affine(x, ones, b),
         lambda: multi_head_attention(x, x, x, heads=2),
         lambda: row_readout(x, [0, 2], [b, ones], [t(0.0), t(1.0)]),
@@ -446,6 +471,13 @@ def test_fused_ops_reject_mismatched_shapes():
         linear(x, t(np.zeros((4, 4))), t(np.zeros(4)), residual=t(np.zeros((2, 4))))
     with pytest.raises(ValueError, match="residual"):
         linear(x, t(np.zeros((4, 4))), t(np.zeros(4)), residual=t(np.zeros((1, 2, 3, 4))))
+    with pytest.raises(ValueError, match="mlp: shapes x \\(2, 3, 4\\)"):
+        mlp(x, t(np.zeros((3, 4))), t(np.zeros(4)), t(np.zeros((4, 4))), t(np.zeros(4)))
+    with pytest.raises(ValueError, match="mlp: shapes x \\(2, 3, 8\\)"):
+        mlp(x, t(np.zeros((4, 8))), t(np.zeros(8)), t(np.zeros((4, 4))), t(np.zeros(4)))
+    with pytest.raises(ValueError, match="mlp: residual"):
+        mlp(x, t(np.zeros((4, 8))), t(np.zeros(8)), t(np.zeros((8, 4))), t(np.zeros(4)),
+            residual=t(np.zeros((2, 4))))
     with pytest.raises(ValueError, match="layer_norm_affine"):
         layer_norm_affine(x, t(np.ones(3)), t(np.zeros(4)))
     with pytest.raises(ValueError, match="multi_head_attention"):

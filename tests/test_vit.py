@@ -24,7 +24,7 @@ from promptcl import (
 )
 from promptcl import vit
 from promptcl.prompts import ClassifierBank
-from promptcl.tensor import add, layer_norm_affine, linear, narrow
+from promptcl.tensor import add, layer_norm_affine, mlp, narrow
 
 EPS = 1e-5  # layer-norm epsilon used throughout the encoder
 
@@ -150,8 +150,7 @@ def chained_adapter_block(x, block, heads, adapter, rows):
     residual = x if rows is None else narrow(x, -2, *rows)
     x_o = vit._attention(layer_norm_affine(x, block.ln1_g, block.ln1_b), block, heads, residual, rows)
     y_o = vit._mlp(layer_norm_affine(x_o, block.ln2_g, block.ln2_b), block, residual=x_o, pad_rows=pad)
-    hidden = linear(x_o, adapter.down_w, adapter.down_b, relu=True, pad_rows=pad)
-    return add(y_o, linear(hidden, adapter.up_w, adapter.up_b, pad_rows=pad))
+    return add(y_o, mlp(x_o, adapter.down_w, adapter.down_b, adapter.up_w, adapter.up_b, pad_rows=pad))
 
 
 @pytest.mark.parametrize("rows", [None, (1, 4)], ids=["all-rows", "row-range"])
@@ -333,11 +332,12 @@ def test_backbone_named_parameter_census():
 # -- tape budget ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("stage_mask, budget", [(False, 64), (True, 45)])
+@pytest.mark.parametrize("stage_mask, budget", [(False, 58), (True, 41)])
 def test_forward_and_loss_tape_budget(stage_mask, budget):
-    # Fused linear / affine-norm / attention / readout ops keep one step's
-    # tape short; the unfused chains recorded 275 and 164 entries here, and
-    # a separate add for the positions and each adapter branch 67 and 47.
+    # Fused linear / mlp / affine-norm / attention / readout ops keep one
+    # step's tape short; the unfused chains recorded 275 and 164 entries
+    # here, a separate add for the positions and each adapter branch 67
+    # and 47, and two linears per MLP and adapter branch 64 and 45.
     from promptcl import RunConfig, asl_loss, build_model, compute_trainable_mask, forward_logits
     from promptcl.model import named_params
     from promptcl.tensor import active_tape

@@ -10,6 +10,7 @@ shows up as NaN instead of as plausible numbers.
 import contextlib
 import inspect
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 
 import test_tensor
 import test_training
-from helpers import reference_linear
+from helpers import reference_attention, reference_linear, reference_mlp
 from promptcl import ModelConfig, RunConfig, model, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import asl_loss, mask_to_task
@@ -33,6 +34,9 @@ from promptcl.tensor import (
     active_tape,
     backward,
     linear,
+    mlp,
+    multi_head_attention,
+    narrow,
     no_grad,
     reset_tape,
     stable_sigmoid,
@@ -118,6 +122,71 @@ def test_fused_ops_stay_byte_identical_in_a_poisoned_workspace(monkeypatch, batc
                {k: None if g is None else g.tobytes() for k, g in p_grads.items()}
 
 
+def tiled_cases(lead, r):
+    """``(name, op, chain, leaves, wants)`` per case: the fused op on a dict of leaf arrays, its
+    unfused chain (None where only a one-shot run of the op itself gives the reference) and
+    the leaves that take a gradient."""
+    rows, d, hidden = 6, 8, 32
+    a = {"x": r.normal(size=lead + (rows, d)), "w1": 0.3 * r.normal(size=(d, hidden)),
+         "b1": 0.1 * r.normal(size=hidden), "w2": 0.3 * r.normal(size=(hidden, d)), "b2": 0.1 * r.normal(size=d),
+         "res": r.normal(size=lead + (rows, d)), "pos": r.normal(size=(rows, d)),
+         "w1n": 0.3 * r.normal(size=(d, 1)), "b1n": 0.1 * r.normal(size=1), "w2n": 0.3 * r.normal(size=(1, d)),
+         "q": r.normal(size=lead + (4, d)), "k": r.normal(size=lead + (rows, d)), "v": r.normal(size=lead + (rows, d))}
+    two = lambda op: lambda p: op(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["res"])
+    every = ("x", "w1", "b1", "w2", "b2", "res")
+    cases = [
+        ("mlp", two(mlp), two(reference_mlp), a, every),
+        ("mlp-frozen", two(mlp), two(reference_mlp), a, ("x", "res")),  # as in a desk stage-3 step
+        ("mlp-weights", two(mlp), two(reference_mlp), a, ("w1", "b1", "w2", "b2")),
+        ("mlp-second-layer", two(mlp), two(reference_mlp), a, ("w2", "b2", "res")),
+        ("mlp-suffix-residual",
+         lambda p: mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["pos"]),
+         lambda p: reference_mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["pos"]),
+         a, ("x", "w1", "b1", "w2", "b2", "pos")),
+        ("mlp-one-wide", lambda p: mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]),
+         lambda p: reference_mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]), a, ("x", "w1n", "b1n", "w2n")),
+        ("mlp-padded", lambda p: mlp(narrow(p["x"], -2, 0, 3), p["w1"], p["b1"], p["w2"], p["b2"], pad_rows=rows),
+         None, a, ("x", "w1", "b1", "w2", "b2")),
+    ]
+    for heads in (1, 4):
+        attend = lambda op, heads=heads: lambda p: op(p["q"], p["k"], p["v"], heads)
+        cases += [(f"attention-{heads}-heads", attend(multi_head_attention), attend(reference_attention),
+                   a, ("q", "k", "v")),
+                  (f"attention-{heads}-heads-keys", attend(multi_head_attention), attend(reference_attention),
+                   a, ("k",))]
+    return cases
+
+
+def grads_of(op, arrays, wants, r):
+    """The output bytes of ``op`` and the bytes of its wanted leaves' gradients."""
+    p = {name: Tensor(v, requires_grad=name in wants) for name, v in arrays.items()}
+    out = op(p)
+    data = out.data.tobytes()  # a step workspace recycles it in backward
+    backward((out * Tensor(r.normal(size=out.shape))).sum())
+    reset_tape()
+    return [data] + [p[name].grad.tobytes() for name in wants]
+
+
+@pytest.mark.parametrize("lead", [(b,) for b in (1, 15, 16, 17, 64, 65)] + [(b, 2) for b in (1, 15, 16, 17, 64, 65)],
+                         ids=str)
+def test_tiled_pullbacks_give_the_bytes_of_their_chains_in_a_poisoned_workspace(monkeypatch, lead):
+    # mlp and the attention pullback make their hidden- and score-sized
+    # temporaries 16 items of the first axis at a time (65 leaves a ragged
+    # last tile); each tile must keep the bytes of the whole batch's
+    # products, sums and softmax rows. A padded mlp has no chain: it must
+    # give the bytes of one whole-batch tile. A one-wide hidden layer, whose
+    # bias sum NumPy makes pairwise, runs in one tile.
+    for name, op, chain, arrays, wants in tiled_cases(lead, np.random.default_rng(math.prod(lead))):
+        with monkeypatch.context() as mp, step_workspace():
+            mp.setattr(tensor, "_POISON", True)
+            tiled = grads_of(op, arrays, wants, np.random.default_rng(1))
+        with monkeypatch.context() as mp:
+            if chain is None:
+                mp.setattr(tensor, "_TILE", 1 << 20)
+            want = grads_of(chain or op, arrays, wants, np.random.default_rng(1))
+        assert tiled == want, name
+
+
 def test_a_tensor_held_past_its_step_keeps_its_values(monkeypatch):
     monkeypatch.setattr(tensor, "_POISON", True)
     x = Tensor(np.ones((4, 3)), requires_grad=True)
@@ -139,28 +208,28 @@ def test_a_tensor_held_past_its_step_keeps_its_values(monkeypatch):
         assert reused.ctypes.data == address and np.isnan(reused).all()
 
 
-def relu_linears(lin, case, x, w0, w1, b0, b1, c):
-    """A loss whose ReLU linears get an adjoint they must not mask in place."""
+def shared_mlps(op, case, x, w0, w1, b0, b1, u, ub, c):
+    """A loss whose MLPs get an adjoint they must not write to."""
     if case == "shared-by-add":  # one writeable g serves both summands
-        return ((lin(x, w0, b0, relu=True) + lin(x, w1, b1, relu=True)) * c).sum()
-    return lin(x, w0, b0, relu=True).sum()  # g is a read-only broadcast
+        return ((op(x, w0, b0, u, ub) + op(x, w1, b1, u, ub)) * c).sum()
+    return op(x, w0, b0, u, ub).sum()  # g is a read-only broadcast
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "poisoned-workspace"])
 @pytest.mark.parametrize("case", ["shared-by-add", "read-only-sum"])
-def test_a_relu_linear_leaves_a_shared_or_read_only_adjoint_alone(monkeypatch, case, pooled):
+def test_an_mlp_leaves_a_shared_or_read_only_adjoint_alone(monkeypatch, case, pooled):
     monkeypatch.setattr(tensor, "_POISON", True)
     r = np.random.default_rng(3)
-    arrays = [r.normal(size=shape) for shape in [(2, 5, 4), (4, 3), (4, 3), (3,), (3,)]]
+    arrays = [r.normal(size=shape) for shape in [(2, 5, 4), (4, 3), (4, 3), (3,), (3,), (3, 3), (3,)]]
     c = Tensor(r.normal(size=(5, 3)))
     grads = []
-    for lin in (linear, reference_linear):
+    for op in (mlp, reference_mlp):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        with step_workspace() if pooled and lin is linear else contextlib.nullcontext():
-            backward(relu_linears(lin, case, *leaves, c))
+        with step_workspace() if pooled and op is mlp else contextlib.nullcontext():
+            backward(shared_mlps(op, case, *leaves, c))
             reset_tape()
         grads.append([t.grad.tobytes() for t in leaves if t.grad is not None])
-    assert len(grads[0]) == (5 if case == "shared-by-add" else 3)
+    assert len(grads[0]) == (7 if case == "shared-by-add" else 5)
     assert grads[0] == grads[1]
 
 
@@ -294,16 +363,22 @@ def twelve_prompt_step(stage, n_prompts=12):
     return cfg, state, class_ids, mask, images, labels
 
 
-# Each step's high-water mark in float64 elements; on the two prompt steps
-# it is what the tape keeps at the end of the forward pass. Keeping every linear's input for its pullback,
-# a ReLU's float output instead of its one-byte mask, or making linear's
-# padded input gradient or a 1 MB weight-gradient stack for the whole batch
-# at once exceeds it. A tape that held every op's output and its pullbacks'
-# input tensors took 2,333,056 on the first two steps; whole-batch linear
-# pullback temporaries took 1,470,464, 1,413,120 and 2,936,832. The desk
-# stage-3 step reads 4 of the 12 prompt rows, and its last block runs on
-# those 4 alone; running it on all 12 took 1,183,744.
-TWELVE_PROMPT_NEED = {1: 1_241_088, 3: 1_028_096, "pretraining": 2_686_976}
+# Each step's high-water mark in float64 elements, and where it is reached:
+# stage 1 in the backward pass, in block 4's attention pullback, as it takes
+# one tile's transposed keys; desk stage 3 in the forward pass, as block 4's
+# attention takes its transposed keys; pretraining in the backward pass, as
+# block 4's mlp takes one tile's first-layer weight-gradient stack. Keeping
+# every linear's input for its pullback, a ReLU's float output instead of its
+# one-byte mask, or making linear's padded input gradient or a 1 MB
+# weight-gradient stack for the whole batch at once exceeds it. A tape that
+# held every op's output and its pullbacks' input tensors took 2,333,056 on
+# the first two steps; whole-batch linear pullback temporaries took
+# 1,470,464, 1,413,120 and 2,936,832; the MLP's hidden layer and the
+# attention pullback's score-sized buffers made for the whole batch, not 16
+# items at a time, took 1,241,088, 1,028,096 and 2,686,976. The desk stage-3
+# step reads 4 of the 12 prompt rows, and its last block runs on those 4
+# alone; running it on all 12 took 1,183,744.
+TWELVE_PROMPT_NEED = {1: 1_143_808, 3: 925_696, "pretraining": 2_646_016}
 
 
 def step_need(monkeypatch, stage, n_prompts=12):
@@ -328,8 +403,10 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, s
 
 def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
     # The one prompt row and the first patch row; the whole last block on
-    # all 17 tokens took 933,376.
-    assert step_need(monkeypatch, 1, n_prompts=1) <= 650_496
+    # all 17 tokens took 933,376, and whole-batch MLP and attention-pullback
+    # temporaries 650,496. The need is reached in the forward pass, as block
+    # 4's attention takes its transposed keys.
+    assert step_need(monkeypatch, 1, n_prompts=1) <= 557_312
 
 
 def held_tensors():
@@ -401,14 +478,15 @@ def test_after_a_training_steps_forward_pass_the_tape_holds_no_tensor_an_op_comp
     assert [t for t in held if id(t) in computed] == []
 
 
-FUSED_AND_SHAPE_OPS = {"linear", "layer_norm_affine", "multi_head_attention",
+FUSED_AND_SHAPE_OPS = {"linear", "mlp", "layer_norm_affine", "multi_head_attention",
                       "concat", "narrow", "reshape", "expand_leading"}
 
 
 @pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
 def test_a_training_steps_encoder_records_only_fused_and_shape_ops(monkeypatch, stage):
     # The patch positions and the adapter branch join the residual stream inside
-    # the linear that ends them, as attention and the MLP do: no add is recorded.
+    # the linear or mlp that ends them, as attention and the MLP do: no add is
+    # recorded. The MLP and the adapter branch are one mlp entry each.
     cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage)
     for name, t in named_params(state).items():
         t.requires_grad = mask[name]
@@ -427,22 +505,27 @@ def test_a_training_steps_encoder_records_only_fused_and_shape_ops(monkeypatch, 
     assert "linear" in ops and set(ops) <= FUSED_AND_SHAPE_OPS, ops
 
 
-@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
-def test_a_frozen_linear_chain_hands_back_what_no_pullback_reads(monkeypatch, relu):
-    # With frozen weights a linear's pullback reads neither its input nor
-    # its output, so each intermediate goes back once the caller drops it.
+@pytest.mark.parametrize("op", ["linear", "mlp"])
+def test_a_frozen_linear_chain_hands_back_what_no_pullback_reads(monkeypatch, op):
+    # With frozen weights the pullback of a linear, or of an mlp, reads
+    # neither its input nor its output (an mlp keeps only its ReLU mask),
+    # so each intermediate goes back once the caller drops it.
     monkeypatch.setattr(tensor, "_POISON", True)
     r = np.random.default_rng(5)
     x0, target = r.normal(size=(3, 6, 8)), r.normal(size=(3, 6, 8))
     weights, biases = [0.4 * r.normal(size=(8, 8)) for _ in range(4)], [r.normal(size=8) for _ in range(4)]
+    up, up_b = 0.4 * r.normal(size=(8, 8)), r.normal(size=8)
     grads = []
-    for lin in (linear, reference_linear):
+    for fused in (True, False):
         x = Tensor(x0, requires_grad=True)
         bs = [Tensor(b, requires_grad=True) for b in biases]
-        with step_workspace() if lin is linear else contextlib.nullcontext() as ws:
+        with step_workspace() if fused else contextlib.nullcontext() as ws:
             hs = [x]
             for w, b in zip(weights, bs):
-                hs.append(lin(hs[-1], Tensor(w), b, relu=relu))
+                if op == "linear":
+                    hs.append((linear if fused else reference_linear)(hs[-1], Tensor(w), b))
+                else:
+                    hs.append((mlp if fused else reference_mlp)(hs[-1], Tensor(w), b, Tensor(up), Tensor(up_b)))
             loss = (hs[-1] * Tensor(target)).sum()
             if ws is not None:
                 lent = len(ws.lent)
