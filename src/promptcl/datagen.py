@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .seeds import check_fields, seeded_rng, text_lines
+from .seeds import check_fields, replacing, seeded_rng, text_lines
 
 
 @dataclass
@@ -236,12 +236,17 @@ def _write_split(root: str, split: str, images: np.ndarray, labels: np.ndarray) 
     for i in range(images.shape[0]):
         blob = images[i].astype("<f8").tobytes() + labels[i].astype(np.uint8).tobytes()
         digest.update(blob)
-        with open(os.path.join(split_dir, SAMPLE_NAME.format(i)), "wb") as fh:
+        with replacing(os.path.join(split_dir, SAMPLE_NAME.format(i))) as tmp, open(tmp, "wb") as fh:
             fh.write(blob)
     return digest.hexdigest()
 
 
 def save_dataset(ds: Dataset, out_dir: str) -> None:
+    """Write ``ds`` under ``out_dir``: every file through ``seeds.replacing``, the manifest last.
+
+    A write that fails leaves the file it was replacing intact and no
+    temporary file behind.
+    """
     os.makedirs(out_dir, exist_ok=True)
     train_hash = _write_split(out_dir, "train", ds.train_images, ds.train_labels)
     test_hash = _write_split(out_dir, "test", ds.test_images, ds.test_labels)
@@ -255,7 +260,7 @@ def save_dataset(ds: Dataset, out_dir: str) -> None:
         f"train_hash {train_hash}",
         f"test_hash {test_hash}",
     ]
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(out_dir, "manifest.txt")) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -9,10 +9,12 @@ fancier is rejected with an error naming the op and both shapes.
 Each recorded op gets a key that is never given again, and its tape
 entry holds that key, each input's producer key (or, for an input no op
 on this tape produced, the tensor itself) and its pullback. A pullback
-holds only the arrays and flags it reads, never a tensor, and a ReLU
-keeps a one-byte mask instead of its output. So a recorded tensor lives
-only as long as its caller holds it, and its array only as long as a
-pullback will read it.
+holds only the arrays and flags it reads, never a tensor. A ReLU keeps a
+one-byte mask instead of its output, or nothing at all where ``mlp``'s
+pullback rebuilds its hidden layer, tile by tile, from the input it keeps
+for the first layer's weight gradient. So a recorded tensor lives only as
+long as its caller holds it, and its array only as long as a pullback
+will read it.
 
 A training loop may run its steps inside ``step_workspace()``: every
 array an op computes for one step, and every buffer its backward pass
@@ -666,21 +668,29 @@ def _running_sum(stack: Array, acc: Array, first: bool) -> None:
     np.add.reduce(stack[1 if first else 0:], axis=0, out=acc)
 
 
+def _stacked_sum(a: Array, b: Array, flat: Array, acc: Array, first: bool) -> None:
+    """``a @ b`` summed over its leading axes into ``acc`` by ``_running_sum``, stacked in ``flat``.
+
+    ``flat`` is a 1-D buffer with room for one more matrix of ``acc``'s
+    shape than ``a @ b`` makes; sums of other shapes may share it.
+    """
+    stack = flat[:(1 + math.prod(a.shape[:-2])) * acc.size].reshape((-1,) + acc.shape)
+    np.matmul(a, b, out=stack[1:].reshape(a.shape[:-2] + acc.shape))
+    _running_sum(stack, acc, first)
+
+
 def _weight_grad(x: Array, g: Array, ws: tuple[int, ...]) -> Array:
     """``x.T @ g`` summed over the leading batch axes, as ``_unbroadcast`` sums it.
 
     A stack of more than ``_STACK`` elements is made ``_SLICE`` items at a
-    time, each slice's sum carried on by ``_running_sum``.
+    time, each slice's sum carried on by ``_stacked_sum``.
     """
     xt, lead = np.swapaxes(x, -1, -2), x.shape[:-2]
     if not lead or math.prod(lead + ws) <= _STACK:
         return _unbroadcast(np.matmul(xt, g, out=_empty(lead + ws)), ws)
-    per = math.prod(lead[1:])  # matrices in one item
-    stack, acc = _empty((1 + _SLICE * per,) + ws), _empty(ws)
+    flat, acc = _empty(((1 + _SLICE * math.prod(lead[1:])) * math.prod(ws),)), _empty(ws)
     for s in range(0, lead[0], _SLICE):
-        end = 1 + min(_SLICE, lead[0] - s) * per
-        np.matmul(xt[s:s + _SLICE], g[s:s + _SLICE], out=stack[1:end].reshape((-1,) + lead[1:] + ws))
-        _running_sum(stack[:end], acc, s == 0)
+        _stacked_sum(xt[s:s + _SLICE], g[s:s + _SLICE], flat, acc, s == 0)
     return acc
 
 
@@ -741,20 +751,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     return _record(inputs, out, pullback)
 
 
+def _relu_layer(x: Array, w: Array, b: Array, out: Array) -> Array:
+    """``maximum(x @ w + b, 0)`` into ``out``: one tile of ``mlp``'s hidden layer, made or rebuilt."""
+    np.matmul(x, w, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor | None = None,
         pad_rows: int | None = None) -> Tensor:
     """``relu(x @ w1 + b1) @ w2 + b2``, plus ``residual`` when given, as one tape entry.
 
     It has the bytes of ``linear(maximum(linear(x, w1, b1), 0), w2, b2,
     residual)``, with ``residual`` and ``pad_rows`` as in ``linear``, but
-    never holds the whole batch's hidden layer as a temporary: forward and
-    pullback run ``_TILE`` items of the first axis at a time, and each tile
-    gets the bits of the whole batch's products (see ``_input_grad``). The
-    weight and bias sums over the hidden layer's adjoint carry on from tile
-    to tile through ``_running_sum``. What the pullback reads is kept whole:
-    the ReLU's one-byte mask, and the hidden layer itself only when ``w2``
-    takes a gradient. NumPy sums a one-column stack pairwise, not in
-    order, so a one-wide hidden layer is made in a single tile.
+    never holds the whole batch's hidden layer: forward and pullback run
+    ``_TILE`` items of the first axis at a time, and each tile gets the
+    bits of the whole batch's products (see ``_input_grad``). The weight
+    and bias sums carry on from tile to tile through ``_running_sum``.
+    When ``w2`` takes a gradient the pullback keeps ``x`` (which ``w1``'s
+    gradient reads too) and rebuilds each tile of the hidden layer, and
+    its ReLU mask, with the forward's own expressions on the same tile
+    bounds; else it keeps only the ReLU's one-byte mask, and that only
+    when the gradient passes through the ReLU. NumPy sums a one-column
+    stack pairwise, not in order, so a one-wide hidden layer is made in a
+    single tile.
     """
     hidden_shape, width = x.shape[:-1] + w1.shape[1:], w1.shape[-1]
     _check_linear("mlp", x.shape, w1, b1)
@@ -765,20 +785,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     inputs = (x, w1, b1, w2, b2, residual) if joined else (x, w1, b1, w2, b2)
     recorded = _recorded(inputs)
     through = recorded and (x.requires_grad or w1.requires_grad or b1.requires_grad)
+    rebuild = recorded and w2.requires_grad
     xi = _items(x.data)
     tile = max(1, len(xi) if width == 1 else min(_TILE, len(xi)))
-    mask = _empty(hidden_shape, np.bool_) if through else None  # a byte per element, where the layer keeps eight
+    # a byte per element, where the layer keeps eight
+    mask = _empty(hidden_shape, np.bool_) if through and not rebuild else None
     out = _empty(shape)
     oi = _items(out)
-    hidden = _empty(hidden_shape) if recorded and w2.requires_grad else None
-    hi = _items(hidden) if hidden is not None else _empty((tile,) + xi.shape[1:-1] + (width,))
+    hi = _empty((tile,) + xi.shape[1:-1] + (width,))
     ri = None if not joined or residual.ndim < len(shape) else _items(residual.data)
     for s in range(0, len(xi), tile):
         e = min(s + tile, len(xi))
-        h = hi[s:e] if hidden is not None else hi[:e - s]
-        np.matmul(xi[s:e], w1.data, out=h)
-        h += b1.data
-        np.maximum(h, 0.0, out=h)
+        h = _relu_layer(xi[s:e], w1.data, b1.data, hi[:e - s])
         if mask is not None:
             np.greater(h, 0.0, out=_items(mask)[s:e])
         o = oi[s:e]
@@ -787,38 +805,46 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
         if joined:
             o += residual.data if ri is None else ri[s:e]
     xs, w1s, b1s, w2s, b2s = x.shape, w1.shape, _grad_shape(b1), w2.shape, _grad_shape(b2)
-    w1d = w1.data if x.requires_grad else None
-    xd = x.data if w1.requires_grad else None
+    gx_wanted, gw1_wanted = x.requires_grad, w1.requires_grad
+    xd = x.data if gw1_wanted or rebuild else None
+    w1d = w1.data if gx_wanted or rebuild else None
+    b1d = b1.data if rebuild else None
     w2d = w2.data if through else None
     rs = _grad_shape(residual) if joined else None
 
     def pullback(g):
-        gw2 = None if hidden is None else _weight_grad(hidden, g, w2s)
         gb2 = _unbroadcast(g, b2s)
-        gx = gw1 = gb1 = None
-        if mask is not None:
-            gi, mi = _items(g), _items(mask)
-            rows = mi.shape[1:-1]  # of one item
+        gx = gw1 = gb1 = gw2 = None
+        if through or rebuild:
+            gi = _items(g)
+            rows = gi.shape[1:-1]  # of one item
             per, rows_per = math.prod(rows[:-1]), math.prod(rows)
-            gx = None if w1d is None else _empty(xs)
-            gw1 = None if xd is None else _zeros(w1s)  # zeros for an empty batch, else overwritten
+            gx = _empty(xs) if gx_wanted else None
+            gw1 = _zeros(w1s) if gw1_wanted else None  # zeros for an empty batch, else overwritten
             gb1 = None if b1s is None else _zeros(b1s)
-            # one tile's hidden adjoint and weight-gradient stack, each with a slot 0
-            # that carries its sum from tile to tile
-            ghs = _empty((1 + tile * rows_per, width))
-            gws = None if xd is None else _empty((1 + tile * per,) + w1s)
+            gw2 = _zeros(w2s) if rebuild else None
+            # one tile's rebuilt hidden layer, hidden adjoint (with a slot 0 that carries
+            # its sum from tile to tile) and weight-gradient stack, which gw2 and gw1 share
+            hs = _empty((tile,) + rows + (width,)) if rebuild else None
+            ghs = _empty((1 + tile * rows_per, width)) if through else None
+            flat = _empty(((1 + tile * per) * max(math.prod(w1s), math.prod(w2s)),)) \
+                if gw1 is not None or rebuild else None
             for s in range(0, len(gi), tile):
                 e = min(s + tile, len(gi))
+                if rebuild:
+                    h = _relu_layer(_items(xd)[s:e], w1d, b1d, hs[:e - s])
+                    _stacked_sum(np.swapaxes(h, -1, -2), gi[s:e], flat, gw2, s == 0)
+                if not through:
+                    continue
                 gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,))
                 _input_grad(gi[s:e], w2d, gh.shape, pad_rows, out=gh)
-                np.multiply(gh, mi[s:e], out=gh)
+                # the ReLU's mask: kept, or 1.0 and 0.0 written over the rebuilt tile,
+                # which multiply as True and False do
+                np.multiply(gh, _items(mask)[s:e] if mask is not None else np.greater(h, 0.0, out=h), out=gh)
                 if gx is not None:
                     _input_grad(gh, w1d, gh.shape[:-1] + xs[-1:], pad_rows, out=_items(gx)[s:e])
                 if gw1 is not None:
-                    end = 1 + (e - s) * per
-                    xt = np.swapaxes(_items(xd)[s:e], -1, -2)
-                    np.matmul(xt, gh, out=gws[1:end].reshape(xt.shape[:-2] + w1s))
-                    _running_sum(gws[:end], gw1, s == 0)
+                    _stacked_sum(np.swapaxes(_items(xd)[s:e], -1, -2), gh, flat, gw1, s == 0)
                 if gb1 is not None:
                     _running_sum(ghs[:1 + (e - s) * rows_per], gb1, s == 0)
         return (gx, gw1, gb1, gw2, gb2) + ((_unbroadcast(g, rs),) if joined else ())

@@ -5,15 +5,23 @@ textbook formulas, no imports from the package's own metric or autodiff
 internals beyond the public Tensor entry points they are meant to
 cross-check, and the tape's ``_record``, through which ``exp``, ``maximum``
 and the unfused ``softmax`` and ``layer_norm`` below put their pullbacks on it.
+It also holds ``failing_open``, which makes a write fail half way, and
+``peak_sites``, a spy on the step workspace that tells where a step's
+high-water mark is reached.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from promptcl import Tensor, backward, concat, narrow, reset_tape, tensor
+from promptcl import Tensor, backward, concat, model, narrow, reset_tape, tensor, vit
 
 
 def finite_difference_gradient(f, theta, eps: float = 1e-5) -> np.ndarray:
@@ -201,3 +209,110 @@ def bce_reference(logits, targets) -> float:
 def f1_counts(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
+
+
+# -- failing writes ---------------------------------------------------------
+
+
+class HalfWritten:
+    """A file whose first write stops half way through, with a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def failing_open(target):
+    """``open`` that gives a ``HalfWritten`` file for a temporary file beside ``target``
+    (``seeds.replacing`` names it ``<target>.<pid>.tmp``); patch it in as a module's ``open``."""
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWritten(fh) if os.fspath(path).startswith(os.fspath(target) + ".") else fh
+    return opener
+
+
+# -- where a step workspace peaks ------------------------------------------
+
+
+@dataclass
+class PeakSite:
+    """The ``take`` that raised a step workspace's ``need``, and what was lent then.
+
+    A site names an op as ``"mlp"``, ``"mlp pullback"``, ``"backward"`` (the
+    adjoint sums) and so on, with the encoder block (from 1) it ran in, or
+    None outside a block.
+    """
+
+    need: int  # the high-water mark it reached, in float64 elements
+    op: str
+    block: int | None
+    shape: tuple[int, ...]  # of the buffer it took
+    lent: dict[tuple[str, int | None], int]  # elements lent per (op, block), that buffer included
+
+
+def _op(frame) -> str:
+    """The op whose code runs in ``frame`` or outward of it (reading only code objects:
+    a frame's ``f_locals`` would keep its arrays alive and move the buffers)."""
+    while frame.f_code.co_filename != tensor.__file__ or frame.f_code.co_name.startswith("_"):
+        frame = frame.f_back
+    qualname = frame.f_code.co_qualname
+    return qualname.split(".")[0] + (" pullback" if qualname.endswith("pullback") else "")
+
+
+@contextlib.contextmanager
+def peak_sites(monkeypatch):
+    """Spy on every step workspace while the block runs; yield the list of its ``PeakSite``\\ s.
+
+    A site is appended whenever a ``take`` raises the ``need`` of the step it
+    runs in, so the last site of a step is where that step peaks. The block
+    of a take is the ``sab_forward`` that runs it, or in a backward pass the
+    block that recorded the tape entry whose pullback runs it.
+    """
+    sites, owners = [], {}
+    number, block_of_key, current = {}, {}, [None]  # block number by id of its params; the running block
+    take, record, pull = tensor._Workspace.take, tensor.GradTape.record, tensor._pull
+    encoder_forward, sab_forward = model.encoder_forward, vit.sab_forward
+
+    def spying_take(ws, shape, dtype=np.float64):
+        need = ws.need
+        buf = take(ws, shape, dtype)
+        owner = owners[next(reversed(ws.lent))] = (_op(sys._getframe(1)), current[0])
+        if ws.need > need:
+            lent = collections.Counter()
+            for key, (_, _, size) in ws.lent.items():
+                lent[owners.get(key, ("?", None))] += size
+            sites.append(PeakSite(ws.need, *owner, tuple(shape), dict(lent)))
+        return buf
+
+    def spying_record(tape, out, inputs, pullback):
+        record(tape, out, inputs, pullback)
+        block_of_key[out.key] = current[0]
+
+    def in_block(block, run, *args, **kwargs):
+        outer, current[0] = current[0], block
+        try:
+            return run(*args, **kwargs)
+        finally:
+            current[0] = outer
+
+    def spying_encoder_forward(images, prompt_pool, params, *args, **kwargs):
+        number.update({id(b): k for k, b in enumerate(params.blocks, start=1)})
+        return encoder_forward(images, prompt_pool, params, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor._Workspace, "take", spying_take)
+        mp.setattr(tensor.GradTape, "record", spying_record)
+        mp.setattr(tensor, "_pull", lambda key, *args: in_block(block_of_key.get(key), pull, key, *args))
+        mp.setattr(model, "encoder_forward", spying_encoder_forward)
+        mp.setattr(vit, "sab_forward", lambda x, block, *args, **kwargs:
+                   in_block(number.get(id(block)), sab_forward, x, block, *args, **kwargs))
+        yield sites

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import failing_open
 from promptcl import ShiftParams, SyntheticSpec, cli, generate_dataset, load_dataset, reporting
 from promptcl.cli import build_parser, main
 from promptcl.reporting import Report, write_report
@@ -180,31 +181,6 @@ def test_dump_prompts_to_stdout(micro_run, capsys):
     out = capsys.readouterr().out
     assert out.startswith("class_id,stage_added,frozen")
     assert len(out.strip().splitlines()) == 1 + 8
-
-
-class HalfWritten:
-    """A text file whose first write stops half way through, with a full disk."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, text):
-        self.fh.write(text[:len(text) // 2])
-        raise OSError(28, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-def failing_open(target):
-    """``open`` that gives a ``HalfWritten`` file for a temporary file beside ``target``."""
-    def opener(path, *args, **kwargs):
-        fh = open(path, *args, **kwargs)
-        return HalfWritten(fh) if os.path.basename(path).startswith(target.name + ".") else fh
-    return opener
 
 
 REPORT_FILES = ["report.json", "sessions.csv", "timing.json"]

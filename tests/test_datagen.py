@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import failing_open
 from promptcl import (
     Dataset,
     ShiftParams,
@@ -15,6 +16,7 @@ from promptcl import (
     load_dataset,
     save_dataset,
 )
+from promptcl import datagen
 from promptcl.datagen import class_stamps, header_hash
 from promptcl.seeds import seeded_rng
 
@@ -237,6 +239,29 @@ def test_load_rejects_wrong_sample_count(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_dataset(str(tmp_path))
     assert "60" in str(exc.value) and "59" in str(exc.value)
+
+
+def leftover_temporaries(root):
+    return [os.path.join(base, f) for base, _, files in os.walk(root) for f in files if f.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("target", ["train/0002.sample", "test/0000.sample", "manifest.txt"])
+def test_a_failed_save_leaves_the_file_it_was_replacing_intact(tmp_path, monkeypatch, target):
+    generate_dataset(small_spec(), seed=8, out_dir=str(tmp_path))
+    old = (tmp_path / target).read_bytes()
+    monkeypatch.setattr(datagen, "open", failing_open(tmp_path / target), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_dataset(generate_dataset(small_spec(), seed=9), str(tmp_path))
+    assert (tmp_path / target).read_bytes() == old
+    assert leftover_temporaries(tmp_path) == []
+
+
+def test_load_counts_no_leftover_temporary_file_as_a_sample(tmp_path):
+    ds = generate_dataset(small_spec(), seed=8, out_dir=str(tmp_path))
+    # what a writer killed before its rename leaves beside its sample
+    (tmp_path / "train" / "0000.sample.4321.tmp").write_bytes(b"\0" * 7)
+    back = load_dataset(str(tmp_path))
+    assert back.train_images.tobytes() == ds.train_images.tobytes()
 
 
 # -- domain shift ---------------------------------------------------------

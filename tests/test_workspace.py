@@ -22,7 +22,7 @@ import pytest
 
 import test_tensor
 import test_training
-from helpers import reference_attention, reference_linear, reference_mlp
+from helpers import peak_sites, reference_attention, reference_linear, reference_mlp
 from promptcl import ModelConfig, RunConfig, model, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import asl_loss, mask_to_task
@@ -131,6 +131,7 @@ def tiled_cases(lead, r):
          "b1": 0.1 * r.normal(size=hidden), "w2": 0.3 * r.normal(size=(hidden, d)), "b2": 0.1 * r.normal(size=d),
          "res": r.normal(size=lead + (rows, d)), "pos": r.normal(size=(rows, d)),
          "w1n": 0.3 * r.normal(size=(d, 1)), "b1n": 0.1 * r.normal(size=1), "w2n": 0.3 * r.normal(size=(1, d)),
+         "w2w": 0.3 * r.normal(size=(hidden, 12)), "b2w": 0.1 * r.normal(size=12),
          "q": r.normal(size=lead + (4, d)), "k": r.normal(size=lead + (rows, d)), "v": r.normal(size=lead + (rows, d))}
     two = lambda op: lambda p: op(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["res"])
     every = ("x", "w1", "b1", "w2", "b2", "res")
@@ -138,16 +139,24 @@ def tiled_cases(lead, r):
         ("mlp", two(mlp), two(reference_mlp), a, every),
         ("mlp-frozen", two(mlp), two(reference_mlp), a, ("x", "res")),  # as in a desk stage-3 step
         ("mlp-weights", two(mlp), two(reference_mlp), a, ("w1", "b1", "w2", "b2")),
-        ("mlp-second-layer", two(mlp), two(reference_mlp), a, ("w2", "b2", "res")),
+        ("mlp-second-layer", two(mlp), two(reference_mlp), a, ("w2", "b2", "res")),  # only the rebuild keeps x
+        ("mlp-second-layer-and-input", two(mlp), two(reference_mlp), a, ("x", "w2")),  # the rebuilt tile's mask
+        ("mlp-first-layer", two(mlp), two(reference_mlp), a, ("w1", "b1")),  # the kept mask
+        ("mlp-widening", lambda p: mlp(p["x"], p["w1"], p["b1"], p["w2w"], p["b2w"]),
+         lambda p: reference_mlp(p["x"], p["w1"], p["b1"], p["w2w"], p["b2w"]), a, ("x", "w1", "b1", "w2w", "b2w")),
         ("mlp-suffix-residual",
          lambda p: mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["pos"]),
          lambda p: reference_mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["pos"]),
          a, ("x", "w1", "b1", "w2", "b2", "pos")),
         ("mlp-one-wide", lambda p: mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]),
          lambda p: reference_mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]), a, ("x", "w1n", "b1n", "w2n")),
-        ("mlp-padded", lambda p: mlp(narrow(p["x"], -2, 0, 3), p["w1"], p["b1"], p["w2"], p["b2"], pad_rows=rows),
-         None, a, ("x", "w1", "b1", "w2", "b2")),
+        ("mlp-one-wide-second-layer", lambda p: mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]),
+         lambda p: reference_mlp(p["x"], p["w1n"], p["b1n"], p["w2n"], p["b2"]), a, ("w2n",)),
     ]
+    for wants in (("x", "w1", "b1", "w2", "b2"), ("x", "w2")):
+        cases.append((f"mlp-padded-{len(wants)}",
+                      lambda p: mlp(narrow(p["x"], -2, 0, 3), p["w1"], p["b1"], p["w2"], p["b2"], pad_rows=rows),
+                      None, a, wants))
     for heads in (1, 4):
         attend = lambda op, heads=heads: lambda p: op(p["q"], p["k"], p["v"], heads)
         cases += [(f"attention-{heads}-heads", attend(multi_head_attention), attend(reference_attention),
@@ -173,9 +182,13 @@ def test_tiled_pullbacks_give_the_bytes_of_their_chains_in_a_poisoned_workspace(
     # mlp and the attention pullback make their hidden- and score-sized
     # temporaries 16 items of the first axis at a time (65 leaves a ragged
     # last tile); each tile must keep the bytes of the whole batch's
-    # products, sums and softmax rows. A padded mlp has no chain: it must
-    # give the bytes of one whole-batch tile. A one-wide hidden layer, whose
-    # bias sum NumPy makes pairwise, runs in one tile.
+    # products, sums and softmax rows. When w2 trains, mlp's pullback
+    # rebuilds each tile of the hidden layer and its mask from x, with w1
+    # trained or frozen, and the weight-gradient stack that gw2 and gw1
+    # share is sized by the larger of the two (mlp-widening). A padded mlp
+    # has no chain: it must give the bytes of one whole-batch tile. A
+    # one-wide hidden layer, whose bias sum NumPy makes pairwise, runs in
+    # one tile.
     for name, op, chain, arrays, wants in tiled_cases(lead, np.random.default_rng(math.prod(lead))):
         with monkeypatch.context() as mp, step_workspace():
             mp.setattr(tensor, "_POISON", True)
@@ -363,22 +376,25 @@ def twelve_prompt_step(stage, n_prompts=12):
     return cfg, state, class_ids, mask, images, labels
 
 
-# Each step's high-water mark in float64 elements, and where it is reached:
-# stage 1 in the backward pass, in block 4's attention pullback, as it takes
-# one tile's transposed keys; desk stage 3 in the forward pass, as block 4's
-# attention takes its transposed keys; pretraining in the backward pass, as
-# block 4's mlp takes one tile's first-layer weight-gradient stack. Keeping
-# every linear's input for its pullback, a ReLU's float output instead of its
-# one-byte mask, or making linear's padded input gradient or a 1 MB
-# weight-gradient stack for the whole batch at once exceeds it. A tape that
-# held every op's output and its pullbacks' input tensors took 2,333,056 on
-# the first two steps; whole-batch linear pullback temporaries took
-# 1,470,464, 1,413,120 and 2,936,832; the MLP's hidden layer and the
-# attention pullback's score-sized buffers made for the whole batch, not 16
-# items at a time, took 1,241,088, 1,028,096 and 2,686,976. The desk stage-3
-# step reads 4 of the 12 prompt rows, and its last block runs on those 4
-# alone; running it on all 12 took 1,183,744.
-TWELVE_PROMPT_NEED = {1: 1_143_808, 3: 925_696, "pretraining": 2_646_016}
+# Each step's high-water mark in float64 elements. Where it is reached
+# (PEAK_SITES below checks it): stage 1 in the backward pass, in block 4's
+# attention pullback, as it takes one tile's score-sized buffer; desk stage 3
+# in the forward pass, as block 4's attention takes its transposed keys;
+# pretraining in the backward pass, in block 4's mlp pullback, as its padded
+# hidden-adjoint product takes one slice's buffer. Keeping every linear's
+# input for its pullback, a ReLU's float output instead of its one-byte mask,
+# an mlp's hidden layer when w2 trains instead of rebuilding it from x, or
+# making linear's padded input gradient or a 1 MB weight-gradient stack for
+# the whole batch at once exceeds it. A tape that held every op's output and
+# its pullbacks' input tensors took 2,333,056 on the first two steps;
+# whole-batch linear pullback temporaries took 1,470,464, 1,413,120 and
+# 2,936,832; the MLP's hidden layer and the attention pullback's score-sized
+# buffers made for the whole batch, not 16 items at a time, took 1,241,088,
+# 1,028,096 and 2,686,976; the hidden layer kept whole for w2's gradient, and
+# a stack for each of gw1 and gw2, took 1,143,808, 925,696 and 2,646,016. The
+# desk stage-3 step reads 4 of the 12 prompt rows, and its last block runs on
+# those 4 alone; running it on all 12 took 1,183,744.
+TWELVE_PROMPT_NEED = {1: 1_115_136, 3: 925_696, "pretraining": 1_990_656}
 
 
 def step_need(monkeypatch, stage, n_prompts=12):
@@ -403,21 +419,43 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, s
 
 def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
     # The one prompt row and the first patch row; the whole last block on
-    # all 17 tokens took 933,376, and whole-batch MLP and attention-pullback
-    # temporaries 650,496. The need is reached in the forward pass, as block
-    # 4's attention takes its transposed keys.
-    assert step_need(monkeypatch, 1, n_prompts=1) <= 557_312
+    # all 17 tokens took 933,376, whole-batch MLP and attention-pullback
+    # temporaries 650,496, and the adapters' hidden layers kept whole for
+    # their w2's gradient 557,312. The need is reached in the forward pass,
+    # as block 4's attention takes its transposed keys.
+    assert step_need(monkeypatch, 1, n_prompts=1) <= 531_200
 
 
-def held_tensors():
-    """Every tensor the tape holds: in its entries and in its pullbacks' closures, nested ones included."""
+# (op, block, shape of the buffer it takes) where each step of
+# test_a_twelve_prompt_step_takes_no_more_workspace_than_before peaks
+PEAK_SITES = {1: ("multi_head_attention pullback", 4, (16, 4, 12, 28)),
+              3: ("multi_head_attention", 4, (64, 4, 8, 28)),
+              "pretraining": ("mlp pullback", 4, (8, 28, 128))}
+
+
+@pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
+def test_each_twelve_prompt_step_peaks_where_its_comment_says(monkeypatch, stage):
+    with peak_sites(monkeypatch) as sites:
+        need = step_need(monkeypatch, stage)
+    site = sites[-1]
+    assert site.need == need
+    assert (site.op, site.block, site.shape) == PEAK_SITES[stage], site
+    assert sum(site.lent.values()) <= need
+    if stage == "pretraining":  # every w2 trains: an mlp lends its output, no hidden layer and no mask
+        batch, tokens, width = 64, 28, ModelConfig().embed_dim
+        assert all(n <= batch * tokens * width for (op, _), n in site.lent.items() if op == "mlp"), site.lent
+
+
+def held_tensors(kind=Tensor):
+    """Every tensor (or object of ``kind``) the tape holds: in its entries and in its pullbacks'
+    closures, nested ones included."""
     held, seen = [], set()
 
     def visit(obj):
         if id(obj) in seen:
             return
         seen.add(id(obj))
-        if isinstance(obj, Tensor):
+        if isinstance(obj, kind):
             held.append(obj)
         elif isinstance(obj, (tuple, list)):
             for item in obj:
@@ -476,6 +514,21 @@ def test_after_a_training_steps_forward_pass_the_tape_holds_no_tensor_an_op_comp
     assert len(active_tape()) > 40 and loss in outputs
     computed = {id(t) for t in outputs}
     assert [t for t in held if id(t) in computed] == []
+
+
+@pytest.mark.parametrize("wants", [("x", "w1", "b1", "w2", "b2"), ("x", "w2"), ("w2",)], ids="-".join)
+def test_an_mlp_whose_second_layer_trains_keeps_no_hidden_sized_buffer(wants):
+    # Its pullback rebuilds the hidden layer and the ReLU mask from x, one
+    # tile at a time, instead of keeping either for the whole batch.
+    r = np.random.default_rng(9)
+    shapes = {"x": (5, 6, 8), "w1": (8, 32), "b1": (32,), "w2": (32, 8), "b2": (8,)}
+    p = {name: Tensor(r.normal(size=shape), requires_grad=name in wants) for name, shape in shapes.items()}
+    out = mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+    held = held_tensors(np.ndarray)
+    reset_tape()
+    assert any(a is p["x"].data for a in held)
+    hidden = math.prod(out.shape[:-1]) * shapes["w1"][1]
+    assert [(a.dtype, a.shape) for a in held if a.size >= hidden] == []
 
 
 FUSED_AND_SHAPE_OPS = {"linear", "mlp", "layer_norm_affine", "multi_head_attention",
