@@ -622,9 +622,7 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
 # attention adjoint sums gq + gk + gv in another order than the chain.
 
 
-_SLICE = 8  # items of the first axis in one slice of a batch-wide pullback temporary
-_STACK = 1 << 17  # elements (1 MB): a larger weight-gradient stack is made in slices
-_TILE = 16  # items of the first axis in one tile of a tiled op's score- or hidden-sized temporaries
+_TILE = 8  # items of the first axis in one tile of a fused op's batch-wide temporaries
 
 
 def _items(a: Array) -> Array:
@@ -632,66 +630,51 @@ def _items(a: Array) -> Array:
     return a if a.ndim > 2 else a[None]
 
 
-def _input_grad(g: Array, w: Array, shape: tuple[int, ...], pad_rows: int | None,
-                out: Array | None = None) -> Array:
-    """``g @ w.T`` into ``out``, else a new buffer of ``shape``, computed on ``pad_rows`` rows when given.
+def _tiles(items: int, *sums: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """A fused op's tile length over ``items`` items of the first axis, and each tile's bounds: ``_TILE``,
+    or every item when one of the ``sums`` that ``_running_sum`` carries from tile to tile has one element
+    (NumPy sums a stack of those pairwise, not in order)."""
+    tile = max(1, items if any(math.prod(s) == 1 for s in sums) else min(_TILE, items))
+    return tile, [(s, min(s + tile, items)) for s in range(0, items, tile)]
 
-    The padded product is made ``_SLICE`` items at a time: a stacked
-    ``matmul`` makes the same per-matrix BLAS call whatever its batch
-    holds, so each item keeps the bits of the whole batch's product.
-    """
-    wt = np.swapaxes(w, -1, -2)
-    rows = shape[-2]
-    gx = _empty(shape) if out is None else out
-    if pad_rows is None or pad_rows == rows:
-        return np.matmul(g, wt, out=gx)
-    items, g = _items(gx), _items(g)
-    padded = _zeros((min(_SLICE, len(items)),) + items.shape[1:-2] + (pad_rows, g.shape[-1]))
-    full = _empty(padded.shape[:-1] + shape[-1:])
-    for s in range(0, len(items), _SLICE):
-        n = min(_SLICE, len(items) - s)
-        padded[:n, ..., :rows, :] = g[s:s + n]
-        np.matmul(padded[:n], wt, out=full[:n])
-        items[s:s + n] = full[:n, ..., :rows, :]
-    return gx
+
+def _pads(tile: int, item: tuple[int, ...], pad_rows: int | None, *widths: int) -> list[Array] | None:
+    """A tile of ``item``-shaped adjoints zero-padded to ``pad_rows`` rows, then room for each product of a
+    chain of ``_input_grad`` calls, ``widths`` wide, that pads the next one's adjoint (a row of a product
+    reads no other row, so its added rows may hold products of zero rows); None when no row is added."""
+    if pad_rows is None or pad_rows == item[-2]:
+        return None
+    bufs = [_zeros((tile,) + item[:-2] + (pad_rows, item[-1]))]
+    return bufs + [_empty(bufs[0].shape[:-1] + (width,)) for width in widths]
+
+
+def _input_grad(g: Array, w: Array, out: Array, pads: list[Array] | None) -> None:
+    """``g @ w.T`` into ``out`` for a tile ``g`` of items, made on the padded rows of ``pads[0]`` when given:
+    a stacked ``matmul`` makes the same per-item BLAS call whatever its batch holds, so each item keeps
+    the bits of the whole batch's product."""
+    if pads is None:
+        np.matmul(g, w.T, out=out)
+    else:
+        n, rows = len(g), g.shape[-2]
+        pads[0][:n, ..., :rows, :] = g
+        out[...] = np.matmul(pads[0][:n], w.T, out=pads[1][:n])[..., :rows, :]
 
 
 def _running_sum(stack: Array, acc: Array, first: bool) -> None:
-    """Sum ``stack[1:]`` over its first axis into ``acc``, after what ``acc`` holds unless ``first``.
-
-    NumPy sums a stack over its first axis strictly in order, so a sum
-    carried through the slot ``stack[0]`` from one part of a stack into
-    the next gives the bytes of the whole stack's sum.
-    """
+    """Sum ``stack[1:]`` over its first axis into ``acc``, after what ``acc`` holds unless ``first``: NumPy
+    sums a stack over its first axis strictly in order, so a sum carried through the slot ``stack[0]``
+    from one part of a stack into the next gives the bytes of the whole stack's sum."""
     if not first:
         stack[0] = acc
     np.add.reduce(stack[1 if first else 0:], axis=0, out=acc)
 
 
 def _stacked_sum(a: Array, b: Array, flat: Array, acc: Array, first: bool) -> None:
-    """``a @ b`` summed over its leading axes into ``acc`` by ``_running_sum``, stacked in ``flat``.
-
-    ``flat`` is a 1-D buffer with room for one more matrix of ``acc``'s
-    shape than ``a @ b`` makes; sums of other shapes may share it.
-    """
+    """``a @ b`` summed over its leading axes into ``acc`` by ``_running_sum``, stacked in ``flat``: a 1-D
+    buffer with room for one more matrix of ``acc``'s shape than ``a @ b`` makes (other sums may share it)."""
     stack = flat[:(1 + math.prod(a.shape[:-2])) * acc.size].reshape((-1,) + acc.shape)
     np.matmul(a, b, out=stack[1:].reshape(a.shape[:-2] + acc.shape))
     _running_sum(stack, acc, first)
-
-
-def _weight_grad(x: Array, g: Array, ws: tuple[int, ...]) -> Array:
-    """``x.T @ g`` summed over the leading batch axes, as ``_unbroadcast`` sums it.
-
-    A stack of more than ``_STACK`` elements is made ``_SLICE`` items at a
-    time, each slice's sum carried on by ``_stacked_sum``.
-    """
-    xt, lead = np.swapaxes(x, -1, -2), x.shape[:-2]
-    if not lead or math.prod(lead + ws) <= _STACK:
-        return _unbroadcast(np.matmul(xt, g, out=_empty(lead + ws)), ws)
-    flat, acc = _empty(((1 + _SLICE * math.prod(lead[1:])) * math.prod(ws),)), _empty(ws)
-    for s in range(0, lead[0], _SLICE):
-        _stacked_sum(xt[s:s + _SLICE], g[s:s + _SLICE], flat, acc, s == 0)
-    return acc
 
 
 def _check_linear(op: str, xs: tuple[int, ...], w: Tensor, b: Tensor) -> None:
@@ -722,11 +705,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     adjoint zero-padded to that many rows and cut back to ``x``'s rows:
     BLAS picks its kernel by row count, so the rows of ``x`` then get the
     bits they would get as the leading rows of a ``pad_rows``-row input
-    whose other rows have zero adjoint. The pullback's batch-wide
-    temporaries, that padded product and a weight-gradient stack of more
-    than 1 MB, are made 8 items of the first axis at a time with the same
-    bytes (see ``_input_grad`` and ``_weight_grad``), so that they no
-    longer set a training step's peak.
+    whose other rows have zero adjoint. The pullback runs in tiles of the
+    first axis with the whole batch's bytes (see ``_tiles``), so that no
+    batch-wide temporary sets a training step's peak.
     """
     _check_linear("linear", x.shape, w, b)
     shape = x.shape[:-1] + w.shape[1:]
@@ -739,14 +720,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
         out += residual.data
     xs, ws, bs = x.shape, w.shape, _grad_shape(b)
     wd = w.data if x.requires_grad else None
-    xd = x.data if w.requires_grad else None
+    xt = _items(x.data).swapaxes(-1, -2) if w.requires_grad else None
     rs = _grad_shape(residual) if joined else None
 
     def pullback(g):
-        gx = None if wd is None else _input_grad(g, wd, xs, pad_rows)
-        gw = None if xd is None else _weight_grad(xd, g, ws)
-        gb = _unbroadcast(g, bs)
-        return (gx, gw, gb, _unbroadcast(g, rs)) if joined else (gx, gw, gb)
+        gi = _items(g)
+        tile, bounds = _tiles(len(gi), ws)
+        gx, pads = (None, None) if wd is None else (_empty(xs), _pads(tile, gi.shape[1:], pad_rows, xs[-1]))
+        gw = None if xt is None else _zeros(ws)  # zeros for an empty batch, else overwritten
+        flat = None if xt is None else _empty(((1 + tile * math.prod(gi.shape[1:-2])) * math.prod(ws),))
+        for s, e in bounds:
+            if gx is not None:
+                _input_grad(gi[s:e], wd, _items(gx)[s:e], pads)
+            if gw is not None:
+                _stacked_sum(xt[s:e], gi[s:e], flat, gw, s == 0)
+        return (gx, gw, _unbroadcast(g, bs)) + ((_unbroadcast(g, rs),) if joined else ())
 
     return _record(inputs, out, pullback)
 
@@ -764,17 +752,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
 
     It has the bytes of ``linear(maximum(linear(x, w1, b1), 0), w2, b2,
     residual)``, with ``residual`` and ``pad_rows`` as in ``linear``, but
-    never holds the whole batch's hidden layer: forward and pullback run
-    ``_TILE`` items of the first axis at a time, and each tile gets the
-    bits of the whole batch's products (see ``_input_grad``). The weight
-    and bias sums carry on from tile to tile through ``_running_sum``.
+    never holds the whole batch's hidden layer: forward and pullback run in
+    tiles of the first axis, as ``linear``'s pullback does (see ``_tiles``).
     When ``w2`` takes a gradient the pullback keeps ``x`` (which ``w1``'s
     gradient reads too) and rebuilds each tile of the hidden layer, and
     its ReLU mask, with the forward's own expressions on the same tile
     bounds; else it keeps only the ReLU's one-byte mask, and that only
-    when the gradient passes through the ReLU. NumPy sums a one-column
-    stack pairwise, not in order, so a one-wide hidden layer is made in a
-    single tile.
+    when the gradient passes through the ReLU.
     """
     hidden_shape, width = x.shape[:-1] + w1.shape[1:], w1.shape[-1]
     _check_linear("mlp", x.shape, w1, b1)
@@ -787,15 +771,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     through = recorded and (x.requires_grad or w1.requires_grad or b1.requires_grad)
     rebuild = recorded and w2.requires_grad
     xi = _items(x.data)
-    tile = max(1, len(xi) if width == 1 else min(_TILE, len(xi)))
-    # a byte per element, where the layer keeps eight
+    tile, bounds = _tiles(len(xi), (width,))  # gw1 and gw2 have one element only if gb1, (width,), has
+    # the ReLU's mask: a byte per element, where the layer keeps eight
     mask = _empty(hidden_shape, np.bool_) if through and not rebuild else None
     out = _empty(shape)
     oi = _items(out)
     hi = _empty((tile,) + xi.shape[1:-1] + (width,))
     ri = None if not joined or residual.ndim < len(shape) else _items(residual.data)
-    for s in range(0, len(xi), tile):
-        e = min(s + tile, len(xi))
+    for s, e in bounds:
         h = _relu_layer(xi[s:e], w1.data, b1.data, hi[:e - s])
         if mask is not None:
             np.greater(h, 0.0, out=_items(mask)[s:e])
@@ -806,7 +789,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
             o += residual.data if ri is None else ri[s:e]
     xs, w1s, b1s, w2s, b2s = x.shape, w1.shape, _grad_shape(b1), w2.shape, _grad_shape(b2)
     gx_wanted, gw1_wanted = x.requires_grad, w1.requires_grad
-    xd = x.data if gw1_wanted or rebuild else None
+    xd = xi if gw1_wanted or rebuild else None
     w1d = w1.data if gx_wanted or rebuild else None
     b1d = b1.data if rebuild else None
     w2d = w2.data if through else None
@@ -829,22 +812,23 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
             ghs = _empty((1 + tile * rows_per, width)) if through else None
             flat = _empty(((1 + tile * per) * max(math.prod(w1s), math.prod(w2s)),)) \
                 if gw1 is not None or rebuild else None
-            for s in range(0, len(gi), tile):
-                e = min(s + tile, len(gi))
+            pads = _pads(tile, rows + g.shape[-1:], pad_rows, width, *(xs[-1:] if gx_wanted else ())) \
+                if through else None
+            for s, e in bounds:
                 if rebuild:
-                    h = _relu_layer(_items(xd)[s:e], w1d, b1d, hs[:e - s])
-                    _stacked_sum(np.swapaxes(h, -1, -2), gi[s:e], flat, gw2, s == 0)
+                    h = _relu_layer(xd[s:e], w1d, b1d, hs[:e - s])
+                    _stacked_sum(h.swapaxes(-1, -2), gi[s:e], flat, gw2, s == 0)
                 if not through:
                     continue
                 gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,))
-                _input_grad(gi[s:e], w2d, gh.shape, pad_rows, out=gh)
+                _input_grad(gi[s:e], w2d, gh, pads)
                 # the ReLU's mask: kept, or 1.0 and 0.0 written over the rebuilt tile,
                 # which multiply as True and False do
                 np.multiply(gh, _items(mask)[s:e] if mask is not None else np.greater(h, 0.0, out=h), out=gh)
                 if gx is not None:
-                    _input_grad(gh, w1d, gh.shape[:-1] + xs[-1:], pad_rows, out=_items(gx)[s:e])
+                    _input_grad(gh, w1d, _items(gx)[s:e], pads and pads[1:])
                 if gw1 is not None:
-                    _stacked_sum(np.swapaxes(_items(xd)[s:e], -1, -2), gh, flat, gw1, s == 0)
+                    _stacked_sum(xd[s:e].swapaxes(-1, -2), gh, flat, gw1, s == 0)
                 if gb1 is not None:
                     _running_sum(ghs[:1 + (e - s) * rows_per], gb1, s == 0)
         return (gx, gw1, gb1, gw2, gb2) + ((_unbroadcast(g, rs),) if joined else ())
@@ -893,6 +877,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     of its slice, except where BLAS reads a view with other bits: the
     transposed keys are therefore copied to (..., heads, d/heads, T), and
     one-feature heads, which BLAS reads as strided vectors, are copied too.
+    The pullback makes its score-sized temporaries in tiles of the first
+    axis (see ``_tiles``).
     """
     if (q.ndim < 2 or k.shape != v.shape or k.ndim != q.ndim or q.shape[-2] > k.shape[-2]
             or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
@@ -942,11 +928,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             # and the transposed keys
             lift = (lambda a: a) if lead else (lambda a: a[None])
             go_, vh_, qh_, kh_, attn_ = map(lift, (go, vh, qh, kh, attn))
-            tile, item = max(1, min(_TILE, len(go_))), slice(1 if lead else 0, None)
+            (tile, bounds), item = _tiles(len(go_)), slice(1 if lead else 0, None)
             gs_t, tmp_t = _empty((tile,) + scores[item]), _empty((tile,) + scores[item])
             kt_t = _empty((tile,) + head_t[item])
-            for s in range(0, len(go_), tile):
-                e = min(s + tile, len(go_))
+            for s, e in bounds:
                 gs, kt = gs_t[:e - s], kt_t[:e - s]
                 np.matmul(go_[s:e], np.swapaxes(vh_[s:e], -1, -2), out=gs)
                 _softmax_pullback(gs, attn_[s:e], into=gs, scratch=tmp_t[:e - s])

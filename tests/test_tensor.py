@@ -392,19 +392,28 @@ def one_shot_weight_grad(x, g):
     return np.matmul(np.swapaxes(x, -1, -2), g).sum(axis=tuple(range(x.ndim - 2)))
 
 
+def linear_pullback(x, w, g, pad_rows):
+    """The bytes of the input and weight gradients that ``linear``'s pullback gives the adjoint ``g``."""
+    reset_tape()
+    linear(t(x), t(w), t(np.zeros(w.shape[1]), False), pad_rows=pad_rows)
+    (_, _, pullback), = active_tape()._entries
+    gx, gw, _ = pullback(g)
+    reset_tape()
+    return gx.tobytes(), gw.tobytes()
+
+
 @pytest.mark.parametrize("poison", [False, True], ids=["plain", "poisoned"])
 @pytest.mark.parametrize("lead", [(), (1,), (7,), (8,), (9,), (64,), (65,), (3, 5)], ids=str)
-def test_sliced_linear_pullbacks_give_the_one_shot_bytes(monkeypatch, lead, poison):
-    # The padded input gradient and the large weight-gradient stacks are made
-    # a few items at a time (65 leaves a ragged last slice); each must give
-    # the bytes of the one-shot product, for contiguous, read-only
-    # (broadcast) and strided adjoints alike.
+def test_tiled_linear_pullbacks_give_the_one_shot_bytes(monkeypatch, lead, poison):
+    # linear's pullback runs a few items of the first axis at a time (8 and
+    # 64 fill their last tile, 9 and 65 leave a ragged one); its padded and
+    # unpadded input gradients and the weight-gradient sum it carries from
+    # tile to tile must give the bytes of the one-shot products, for
+    # contiguous, read-only (broadcast) and strided adjoints alike.
     monkeypatch.setattr(tensor, "_POISON", poison)
     r = rng_for(math.prod(lead))
-    sliced_stacks = 0
     for k, m in [(8, 32), (32, 32), (128, 32), (32, 128), (128, 128)]:
-        sliced_stacks += len(lead) > 0 and math.prod(lead + (k, m)) > tensor._STACK
-        for rows, pad_rows in [(4, 20), (12, 28), (5, 5)]:
+        for rows, pad_rows in [(4, 20), (12, 28), (5, 5), (5, None)]:
             x, w = r.normal(size=lead + (rows, k)), r.normal(size=(k, m))
             adjoints = {
                 "contiguous": r.normal(size=lead + (rows, m)),
@@ -414,17 +423,27 @@ def test_sliced_linear_pullbacks_give_the_one_shot_bytes(monkeypatch, lead, pois
             for kind, g in adjoints.items():
                 case = (k, m, rows, pad_rows, kind)
                 with step_workspace() if poison else contextlib.nullcontext():
-                    gx = tensor._input_grad(g, w, x.shape, pad_rows).tobytes()
-                    gw = tensor._weight_grad(x, g, (k, m)).tobytes()
-                assert gx == one_shot_input_grad(g, w, x.shape, pad_rows).tobytes(), case
+                    gx, gw = linear_pullback(x, w, g, pad_rows)
+                assert gx == one_shot_input_grad(g, w, x.shape, pad_rows or rows).tobytes(), case
                 assert gw == one_shot_weight_grad(x, g).tobytes(), case
-    assert sliced_stacks == {(9,): 1, (64,): 3, (65,): 3, (3, 5): 1}.get(lead, 0)
+
+
+@pytest.mark.parametrize("batch", [16, 64])
+def test_a_one_element_weight_gradient_is_summed_over_the_whole_batch_at_once(batch):
+    # NumPy sums a stack of one-element matrices pairwise, not in order, so a
+    # sum carried from tile to tile would change the low bits of a (1, 1)
+    # weight's gradient: linear's pullback runs such a weight in one tile.
+    # Items of magnitudes over eight decades make another order show.
+    r = rng_for(batch)
+    x = r.normal(size=(batch, 5, 1)) * 10.0 ** r.integers(0, 8, size=(batch, 1, 1))
+    g, w = r.normal(size=(batch, 5, 1)), r.normal(size=(1, 1))
+    assert linear_pullback(x, w, g, None)[1] == one_shot_weight_grad(x, g).tobytes()
 
 
 @pytest.mark.parametrize("lead", [(2,), (9,), (40,), (64,), (65,), (8, 8)], ids=str)
 def test_numpy_sums_a_stack_over_its_leading_axes_in_order(lead):
-    # linear's sliced weight gradient carries each slice's sum into the next
-    # slice's reduction, which keeps the bytes only if NumPy adds the items
+    # linear's and mlp's tiled weight gradients carry each tile's sum into the
+    # next tile's reduction, which keeps the bytes only if NumPy adds the items
     # of a stack one after another. Scales over twelve decades make any other
     # order show in the low bits.
     r = rng_for(math.prod(lead))

@@ -133,9 +133,15 @@ def tiled_cases(lead, r):
          "w1n": 0.3 * r.normal(size=(d, 1)), "b1n": 0.1 * r.normal(size=1), "w2n": 0.3 * r.normal(size=(1, d)),
          "w2w": 0.3 * r.normal(size=(hidden, 12)), "b2w": 0.1 * r.normal(size=12),
          "q": r.normal(size=lead + (4, d)), "k": r.normal(size=lead + (rows, d)), "v": r.normal(size=lead + (rows, d))}
+    one = lambda op: lambda p: op(p["x"], p["w1"], p["b1"])
     two = lambda op: lambda p: op(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["res"])
     every = ("x", "w1", "b1", "w2", "b2", "res")
     cases = [
+        ("linear", one(linear), one(reference_linear), a, ("x", "w1", "b1")),
+        ("linear-input", one(linear), one(reference_linear), a, ("x",)),
+        ("linear-weights", one(linear), one(reference_linear), a, ("w1", "b1")),
+        ("linear-padded", lambda p: linear(narrow(p["x"], -2, 0, 3), p["w1"], p["b1"], pad_rows=rows),
+         None, a, ("x", "w1", "b1")),
         ("mlp", two(mlp), two(reference_mlp), a, every),
         ("mlp-frozen", two(mlp), two(reference_mlp), a, ("x", "res")),  # as in a desk stage-3 step
         ("mlp-weights", two(mlp), two(reference_mlp), a, ("w1", "b1", "w2", "b2")),
@@ -176,19 +182,22 @@ def grads_of(op, arrays, wants, r):
     return [data] + [p[name].grad.tobytes() for name in wants]
 
 
-@pytest.mark.parametrize("lead", [(b,) for b in (1, 15, 16, 17, 64, 65)] + [(b, 2) for b in (1, 15, 16, 17, 64, 65)],
-                         ids=str)
+TILED_BATCHES = (1, 7, 8, 9, 15, 16, 17, 64, 65)  # one item, and either side of a tile's end
+
+
+@pytest.mark.parametrize("lead", [(b,) for b in TILED_BATCHES] + [(b, 2) for b in TILED_BATCHES], ids=str)
 def test_tiled_pullbacks_give_the_bytes_of_their_chains_in_a_poisoned_workspace(monkeypatch, lead):
-    # mlp and the attention pullback make their hidden- and score-sized
-    # temporaries 16 items of the first axis at a time (65 leaves a ragged
-    # last tile); each tile must keep the bytes of the whole batch's
-    # products, sums and softmax rows. When w2 trains, mlp's pullback
-    # rebuilds each tile of the hidden layer and its mask from x, with w1
-    # trained or frozen, and the weight-gradient stack that gw2 and gw1
-    # share is sized by the larger of the two (mlp-widening). A padded mlp
-    # has no chain: it must give the bytes of one whole-batch tile. A
-    # one-wide hidden layer, whose bias sum NumPy makes pairwise, runs in
-    # one tile.
+    # linear's pullback, mlp and the attention pullback make their batch-,
+    # hidden- and score-sized temporaries 8 items of the first axis at a
+    # time (9, 15, 17 and 65 leave a ragged last tile); each tile must keep
+    # the bytes of the whole batch's products, sums and softmax rows, and a
+    # weight-gradient sum carried from tile to tile the bytes of the whole
+    # stack's. When w2 trains, mlp's pullback rebuilds each tile of the
+    # hidden layer and its mask from x, with w1 trained or frozen, and the
+    # weight-gradient stack that gw2 and gw1 share is sized by the larger of
+    # the two (mlp-widening). A padded linear or mlp has no chain: it must
+    # give the bytes of one whole-batch tile. A one-wide hidden layer, whose
+    # bias sum NumPy makes pairwise, runs in one tile.
     for name, op, chain, arrays, wants in tiled_cases(lead, np.random.default_rng(math.prod(lead))):
         with monkeypatch.context() as mp, step_workspace():
             mp.setattr(tensor, "_POISON", True)
@@ -377,24 +386,25 @@ def twelve_prompt_step(stage, n_prompts=12):
 
 
 # Each step's high-water mark in float64 elements. Where it is reached
-# (PEAK_SITES below checks it): stage 1 in the backward pass, in block 4's
-# attention pullback, as it takes one tile's score-sized buffer; desk stage 3
-# in the forward pass, as block 4's attention takes its transposed keys;
-# pretraining in the backward pass, in block 4's mlp pullback, as its padded
-# hidden-adjoint product takes one slice's buffer. Keeping every linear's
-# input for its pullback, a ReLU's float output instead of its one-byte mask,
-# an mlp's hidden layer when w2 trains instead of rebuilding it from x, or
-# making linear's padded input gradient or a 1 MB weight-gradient stack for
-# the whole batch at once exceeds it. A tape that held every op's output and
-# its pullbacks' input tensors took 2,333,056 on the first two steps;
-# whole-batch linear pullback temporaries took 1,470,464, 1,413,120 and
-# 2,936,832; the MLP's hidden layer and the attention pullback's score-sized
-# buffers made for the whole batch, not 16 items at a time, took 1,241,088,
-# 1,028,096 and 2,686,976; the hidden layer kept whole for w2's gradient, and
-# a stack for each of gw1 and gw2, took 1,143,808, 925,696 and 2,646,016. The
-# desk stage-3 step reads 4 of the 12 prompt rows, and its last block runs on
-# those 4 alone; running it on all 12 took 1,183,744.
-TWELVE_PROMPT_NEED = {1: 1_115_136, 3: 925_696, "pretraining": 1_990_656}
+# (PEAK_SITES below checks it): stage 1 and desk stage 3 in the forward
+# pass, in block 4's attention, as it takes its whole-batch scores (stage 1)
+# or transposed keys (desk stage 3); pretraining in the forward pass, in
+# block 4's mlp, as it takes one tile's hidden layer. Keeping every linear's
+# input for its pullback, a ReLU's float output instead of its one-byte
+# mask, or an mlp's hidden layer when w2 trains instead of rebuilding it
+# from x exceeds it. A tape that held every op's output and its pullbacks'
+# input tensors took 2,333,056 on the first two steps; whole-batch linear
+# pullback temporaries took 1,470,464, 1,413,120 and 2,936,832; the MLP's
+# hidden layer and the attention pullback's score-sized buffers made for the
+# whole batch, not in tiles, took 1,241,088, 1,028,096 and 2,686,976; the
+# hidden layer kept whole for w2's gradient, and a stack for each of gw1 and
+# gw2, took 1,143,808, 925,696 and 2,646,016; 16-item tiles for mlp and the
+# attention pullback, with linear's pullback made whole or, for its padded
+# product and its weight-gradient stacks above 1 MB, in 8-item slices, took
+# 1,115,136, 925,696 and 1,990,656. The desk stage-3 step reads 4 of the 12
+# prompt rows, and its last block runs on those 4 alone; running it on all
+# 12 took 1,183,744.
+TWELVE_PROMPT_NEED = {1: 1_093_632, 3: 925_696, "pretraining": 1_929_216}
 
 
 def step_need(monkeypatch, stage, n_prompts=12):
@@ -428,9 +438,9 @@ def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
 
 # (op, block, shape of the buffer it takes) where each step of
 # test_a_twelve_prompt_step_takes_no_more_workspace_than_before peaks
-PEAK_SITES = {1: ("multi_head_attention pullback", 4, (16, 4, 12, 28)),
+PEAK_SITES = {1: ("multi_head_attention", 4, (64, 4, 12, 28)),
               3: ("multi_head_attention", 4, (64, 4, 8, 28)),
-              "pretraining": ("mlp pullback", 4, (8, 28, 128))}
+              "pretraining": ("mlp", 4, (8, 12, 128))}
 
 
 @pytest.mark.parametrize("stage", [1, 3, "pretraining"], ids=["stage-1", "desk-stage-3", "pretraining"])
