@@ -56,12 +56,12 @@ def _cmd_pretrain(args) -> int:
     cfg = build_run_config(values)
     dataset = load_dataset(values["pretrain_dataset"])
     state = build_model(cfg.model, use_adapters=False)
-    stats = simulate_pretraining(state, dataset, cfg)
     path = args.out
-    if not path:
+    if not path:  # the out dir is made before training, so that one that cannot be made fails at once
         out_dir = _resolve_out_dir(args.out_dir, values["out_dir"])
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "backbone.npz")
+    stats = simulate_pretraining(state, dataset, cfg)
     save_checkpoint(path, state)
     print(f"pretrained backbone for {stats['steps']} steps, saved to {path}")
     return 0

@@ -225,6 +225,8 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     fine_tuning = cfg.method == "fine_tuning"
     state = build_model(cfg.model, use_adapters=cfg.use_adapters and not fine_tuning)
 
+    if out_dir is not None:  # before pretraining: an out_dir that cannot be made fails at once
+        os.makedirs(out_dir, exist_ok=True)
     pretrain_seconds = 0.0
     if backbone_from is not None:
         if pretrain is not None:
@@ -247,7 +249,6 @@ def run_benchmark(cfg: RunConfig, dataset: Dataset, pretrain: Dataset | None = N
     if out_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="promptcl-run-")
         out_dir = tmp.name
-    os.makedirs(out_dir, exist_ok=True)
 
     matrix = []
     sessions = []

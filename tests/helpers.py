@@ -5,9 +5,11 @@ textbook formulas, no imports from the package's own metric or autodiff
 internals beyond the public Tensor entry points they are meant to
 cross-check, and the tape's ``_record``, through which ``exp``, ``maximum``
 and the unfused ``softmax`` and ``layer_norm`` below put their pullbacks on it.
-It also holds ``failing_open``, which makes a write fail half way, and
-``peak_sites``, a spy on the step workspace that tells where a step's
-high-water mark is reached.
+It also holds ``failing_open``, which makes a write fail half way,
+``twelve_prompt_step``, the training steps whose workspace the tests
+bound, ``step_times``, a steady-step timer for them, and ``peak_sites``, a
+spy on the step workspace that tells where a step's high-water mark is
+reached.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ import contextlib
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from promptcl import Tensor, backward, concat, model, narrow, reset_tape, tensor, vit
+from promptcl import (ModelConfig, RunConfig, Tensor, add_class_prompts, backward, build_model,
+                      compute_trainable_mask, concat, freeze_previous, model, named_params, narrow,
+                      reset_tape, tensor, training, vit)
 
 
 def finite_difference_gradient(f, theta, eps: float = 1e-5) -> np.ndarray:
@@ -238,6 +244,58 @@ def failing_open(target):
         fh = open(path, *args, **kwargs)
         return HalfWritten(fh) if os.fspath(path).startswith(os.fspath(target) + ".") else fh
     return opener
+
+
+# -- training steps: their inputs and their times -----------------------------
+
+
+def twelve_prompt_step(stage, n_prompts=12, batch=64):
+    """The default model with 12 prompts at batch 64: a stage-1 step training all of them, the
+    desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen),
+    or a pretraining step, which trains every weight of the adapter-free model. The stage-1 and
+    pretraining steps take another prompt count through ``n_prompts``; every step takes another
+    batch size through ``batch``."""
+    cfg = RunConfig(model=ModelConfig(), batch_size=batch)
+    state = build_model(cfg.model, use_adapters=stage != "pretraining")
+    if stage == 3:
+        for s in (1, 2, 3):
+            class_ids = list(range(4 * s - 4, 4 * s))
+            add_class_prompts(state.pool, state.bank, class_ids, stage=s)
+            freeze_previous(state.pool, state.bank, s)
+    else:
+        class_ids = list(range(n_prompts))
+        add_class_prompts(state.pool, state.bank, class_ids, stage=1)
+    if stage == "pretraining":
+        mask = dict.fromkeys(named_params(state), True)
+    else:
+        mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
+    r = np.random.default_rng(0)
+    images = r.normal(size=(batch, cfg.model.image_side, cfg.model.image_side))
+    labels = (r.random((batch, len(class_ids))) < 0.3).astype(np.float64)
+    return cfg, state, class_ids, mask, images, labels
+
+
+def step_times(stage, batch: int, blocks: int, warmup: int = 3) -> list[float]:
+    """The mean time, in seconds, of one step in each of ``blocks`` blocks of 5 steps of
+    ``twelve_prompt_step(stage, batch=batch)``, after ``warmup`` steps.
+
+    The steps are ``training._fit``'s own, all in one step workspace (an
+    epoch is one step on the same batch), timed from one step's
+    ``reset_tape`` to the next: forward, loss, backward and Adam.
+    """
+    cfg, state, class_ids, mask, images, labels = twelve_prompt_step(stage, batch=batch)
+    starts = []  # each step's start, then the loop's end
+    reset = training.reset_tape
+
+    def timed_reset():
+        starts.append(time.perf_counter())
+        reset()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "reset_tape", timed_reset)
+        training._fit(state, images, labels, class_ids, mask, warmup + 5 * blocks, cfg, (0, "step-times"))
+    steps = np.diff(starts)[warmup:]
+    return [float(steps[5 * i:5 * i + 5].mean()) for i in range(blocks)]
 
 
 # -- where a step workspace peaks ------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import failing_open
-from promptcl import ShiftParams, SyntheticSpec, cli, generate_dataset, load_dataset, reporting
+from promptcl import ShiftParams, SyntheticSpec, cli, generate_dataset, load_dataset, reporting, training
 from promptcl.cli import build_parser, main
 from promptcl.reporting import Report, write_report
 
@@ -37,14 +37,17 @@ seed          = 0
 """
 
 
-def gen_micro_dataset(path, classes=12, train=120, test=80):
-    rc = main([
+def gen_data_args(path, classes=12, train=120, test=80):
+    return [
         "gen-data", "--out", str(path), "--classes", str(classes),
         "--image-side", "8", "--stamp-side", "4", "--train", str(train),
         "--test", str(test), "--max-labels", "3", "--min-positive", "5",
         "--stamp-seed", "3", "--seed", "1",
-    ])
-    assert rc == 0
+    ]
+
+
+def gen_micro_dataset(path, classes=12, train=120, test=80):
+    assert main(gen_data_args(path, classes, train, test)) == 0
     return path
 
 
@@ -265,6 +268,38 @@ def test_pretrain_out_makes_no_out_dir(tmp_path, monkeypatch, capsys):
     assert main(["pretrain", "--config", str(conf), "--out", "bb.npz"]) == 0
     assert "saved to bb.npz" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bb.npz", "data", "p.conf"]
+
+
+@pytest.mark.parametrize("command", ["run", "pretrain", "gen-data"])
+def test_an_out_dir_that_cannot_be_made_fails_before_any_training(tmp_path, monkeypatch, capsys, command):
+    # An out dir below a regular file cannot be made, as root, whom a
+    # read-only directory does not stop, finds too. Each command must say
+    # so in one error line before it pretrains or draws anything.
+    monkeypatch.delenv("PROMPTCL_OUT_DIR", raising=False)
+    data = gen_micro_dataset(tmp_path / "data")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    conf = tmp_path / "p.conf"
+    conf.write_text(MICRO_CONF.format(dataset=data, out_dir=out_dir)
+                    + f"pretrain_dataset = {data}\npretrain_epochs = 1\n")
+    calls = []
+    pretrain = training.simulate_pretraining
+
+    def spy(*args):
+        calls.append(args)
+        return pretrain(*args)
+
+    monkeypatch.setattr(training, "simulate_pretraining", spy)
+    monkeypatch.setattr(cli, "simulate_pretraining", spy)
+    capsys.readouterr()
+    argv = {"run": ["run", "--config", str(conf)], "pretrain": ["pretrain", "--config", str(conf)],
+            "gen-data": gen_data_args(out_dir)}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Not a directory" in err, err  # no traceback
+    assert calls == []
+    assert blocker.read_text() == ""
 
 
 ROOT = Path(__file__).resolve().parent.parent

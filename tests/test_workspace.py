@@ -22,8 +22,15 @@ import pytest
 
 import test_tensor
 import test_training
-from helpers import peak_sites, reference_attention, reference_linear, reference_mlp
-from promptcl import ModelConfig, RunConfig, model, tensor, training
+from helpers import (
+    peak_sites,
+    reference_attention,
+    reference_layer_norm_affine,
+    reference_linear,
+    reference_mlp,
+    twelve_prompt_step,
+)
+from promptcl import ModelConfig, model, tensor, training
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import asl_loss, mask_to_task
 from promptcl.model import build_model, forward_logits, named_params, predict_probs
@@ -33,6 +40,7 @@ from promptcl.tensor import (
     Tensor,
     active_tape,
     backward,
+    layer_norm_affine,
     linear,
     mlp,
     multi_head_attention,
@@ -132,7 +140,8 @@ def tiled_cases(lead, r):
          "res": r.normal(size=lead + (rows, d)), "pos": r.normal(size=(rows, d)),
          "w1n": 0.3 * r.normal(size=(d, 1)), "b1n": 0.1 * r.normal(size=1), "w2n": 0.3 * r.normal(size=(1, d)),
          "w2w": 0.3 * r.normal(size=(hidden, 12)), "b2w": 0.1 * r.normal(size=12),
-         "q": r.normal(size=lead + (4, d)), "k": r.normal(size=lead + (rows, d)), "v": r.normal(size=lead + (rows, d))}
+         "q": r.normal(size=lead + (4, d)), "k": r.normal(size=lead + (rows, d)), "v": r.normal(size=lead + (rows, d)),
+         "g": 1.0 + 0.1 * r.normal(size=d), "be": 0.1 * r.normal(size=d)}
     one = lambda op: lambda p: op(p["x"], p["w1"], p["b1"])
     two = lambda op: lambda p: op(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], residual=p["res"])
     every = ("x", "w1", "b1", "w2", "b2", "res")
@@ -163,6 +172,26 @@ def tiled_cases(lead, r):
         cases.append((f"mlp-padded-{len(wants)}",
                       lambda p: mlp(narrow(p["x"], -2, 0, 3), p["w1"], p["b1"], p["w2"], p["b2"], pad_rows=rows),
                       None, a, wants))
+    # a layer norm's output read by a linear or an mlp, which rebuild it from its recipe when a
+    # weight trains and the norm is recorded; and their padded forms, on fewer rows than pad_rows
+    normed = lambda op, norm, x=lambda p: p["x"]: lambda p: op({**p, "x": norm(x(p), p["g"], p["be"])})
+    narrowed = lambda p: narrow(p["x"], -2, 0, 3)
+    padded_linear = lambda p: linear(p["x"], p["w1"], p["b1"], pad_rows=rows)
+    padded_mlp = lambda p: mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], pad_rows=rows)
+    for kind, fused, chain, weights in [("linear", one(linear), one(reference_linear), ("w1", "b1")),
+                                        ("mlp", two(mlp), two(reference_mlp), ("w1", "b1", "w2", "b2"))]:
+        cases += [(f"norm-{kind}", normed(fused, layer_norm_affine), normed(chain, reference_layer_norm_affine),
+                   a, ("x", "g", "be") + weights + ("res",) * (kind == "mlp")),
+                  (f"norm-{kind}-weights", normed(fused, layer_norm_affine),
+                   normed(chain, reference_layer_norm_affine), a, ("g", "be") + weights),
+                  (f"norm-{kind}-last-weight", normed(fused, layer_norm_affine),
+                   normed(chain, reference_layer_norm_affine), a, ("x", weights[-2])),
+                  (f"norm-{kind}-input", normed(fused, layer_norm_affine),
+                   normed(chain, reference_layer_norm_affine), a, ("x",))]
+    cases += [("norm-linear-padded", normed(padded_linear, layer_norm_affine, narrowed), None, a,
+               ("x", "g", "be", "w1", "b1")),
+              ("norm-mlp-padded", normed(padded_mlp, layer_norm_affine, narrowed), None, a,
+               ("x", "g", "be", "w1", "b1", "w2", "b2"))]
     for heads in (1, 4):
         attend = lambda op, heads=heads: lambda p: op(p["q"], p["k"], p["v"], heads)
         cases += [(f"attention-{heads}-heads", attend(multi_head_attention), attend(reference_attention),
@@ -197,7 +226,9 @@ def test_tiled_pullbacks_give_the_bytes_of_their_chains_in_a_poisoned_workspace(
     # weight-gradient stack that gw2 and gw1 share is sized by the larger of
     # the two (mlp-widening). A padded linear or mlp has no chain: it must
     # give the bytes of one whole-batch tile. A one-wide hidden layer, whose
-    # bias sum NumPy makes pairwise, runs in one tile.
+    # bias sum NumPy makes pairwise, runs in one tile. A linear or mlp on a
+    # recorded layer norm's output rebuilds that output, whole or a tile at
+    # a time, from the norm's recipe when a weight trains (norm-*).
     for name, op, chain, arrays, wants in tiled_cases(lead, np.random.default_rng(math.prod(lead))):
         with monkeypatch.context() as mp, step_workspace():
             mp.setattr(tensor, "_POISON", True)
@@ -360,40 +391,17 @@ def test_fit_drops_the_workspace_when_it_returns_or_raises():
     assert all(t.requires_grad for t in named_params(state).values())
 
 
-def twelve_prompt_step(stage, n_prompts=12):
-    """The default model with 12 prompts at batch 64: a stage-1 step training all of them, the
-    desk's stage-3 step (4 prompts and heads per stage, the older ones and the adapters frozen),
-    or a pretraining step, which trains every weight of the adapter-free model. The stage-1 and
-    pretraining steps take another prompt count through ``n_prompts``."""
-    cfg = RunConfig(model=ModelConfig(), batch_size=64)
-    state = build_model(cfg.model, use_adapters=stage != "pretraining")
-    if stage == 3:
-        for s in (1, 2, 3):
-            class_ids = list(range(4 * s - 4, 4 * s))
-            add_class_prompts(state.pool, state.bank, class_ids, stage=s)
-            freeze_previous(state.pool, state.bank, s)
-    else:
-        class_ids = list(range(n_prompts))
-        add_class_prompts(state.pool, state.bank, class_ids, stage=1)
-    if stage == "pretraining":
-        mask = dict.fromkeys(named_params(state), True)
-    else:
-        mask = compute_trainable_mask(stage, state.pool, state.bank, state.adapters, state.backbone)
-    r = np.random.default_rng(0)
-    images = r.normal(size=(64, cfg.model.image_side, cfg.model.image_side))
-    labels = (r.random((64, len(class_ids))) < 0.3).astype(np.float64)
-    return cfg, state, class_ids, mask, images, labels
-
-
 # Each step's high-water mark in float64 elements. Where it is reached
 # (PEAK_SITES below checks it): stage 1 and desk stage 3 in the forward
 # pass, in block 4's attention, as it takes its whole-batch scores (stage 1)
 # or transposed keys (desk stage 3); pretraining in the forward pass, in
 # block 4's mlp, as it takes one tile's hidden layer. Keeping every linear's
 # input for its pullback, a ReLU's float output instead of its one-byte
-# mask, or an mlp's hidden layer when w2 trains instead of rebuilding it
-# from x exceeds it. A tape that held every op's output and its pullbacks'
-# input tensors took 2,333,056 on the first two steps; whole-batch linear
+# mask, an mlp's hidden layer when w2 trains instead of rebuilding it
+# from x, or a layer norm's output that a trained weight reads instead of
+# rebuilding it from the norm's recipe exceeds it. A tape that held every
+# op's output and its pullbacks' input tensors took 2,333,056 on the first
+# two steps; whole-batch linear
 # pullback temporaries took 1,470,464, 1,413,120 and 2,936,832; the MLP's
 # hidden layer and the attention pullback's score-sized buffers made for the
 # whole batch, not in tiles, took 1,241,088, 1,028,096 and 2,686,976; the
@@ -401,10 +409,12 @@ def twelve_prompt_step(stage, n_prompts=12):
 # gw2, took 1,143,808, 925,696 and 2,646,016; 16-item tiles for mlp and the
 # attention pullback, with linear's pullback made whole or, for its padded
 # product and its weight-gradient stacks above 1 MB, in 8-item slices, took
-# 1,115,136, 925,696 and 1,990,656. The desk stage-3 step reads 4 of the 12
-# prompt rows, and its last block runs on those 4 alone; running it on all
-# 12 took 1,183,744.
-TWELVE_PROMPT_NEED = {1: 1_093_632, 3: 925_696, "pretraining": 1_929_216}
+# 1,115,136, 925,696 and 1,990,656; 8-item tiles for every fused op, with
+# each layer norm's output kept whole by the q, k and v linears and the mlp
+# that read it, took 1,093,632, 925,696 and 1,929,216. The desk stage-3 step
+# reads 4 of the 12 prompt rows, and its last block runs on those 4 alone;
+# running it on all 12 took 1,183,744.
+TWELVE_PROMPT_NEED = {1: 1_093_632, 3: 925_696, "pretraining": 1_642_496}
 
 
 def step_need(monkeypatch, stage, n_prompts=12):
@@ -539,6 +549,37 @@ def test_an_mlp_whose_second_layer_trains_keeps_no_hidden_sized_buffer(wants):
     assert any(a is p["x"].data for a in held)
     hidden = math.prod(out.shape[:-1]) * shapes["w1"][1]
     assert [(a.dtype, a.shape) for a in held if a.size >= hidden] == []
+
+
+@pytest.mark.parametrize("op", ["linear", "mlp"])
+def test_a_trained_weight_on_a_layer_norms_output_keeps_no_array_of_it(op):
+    # The linear or mlp keeps the norm's recipe, whose normalised rows the
+    # norm's own pullback keeps anyway, so the output's array goes back once
+    # its caller drops it.
+    r = np.random.default_rng(4)
+    x, gamma, beta = (Tensor(r.normal(size=shape), requires_grad=True) for shape in [(5, 6, 8), (8,), (8,)])
+    w1, b1, w2, b2 = (Tensor(r.normal(size=shape), requires_grad=True) for shape in [(8, 32), (32,), (32, 8), (8,)])
+    y = layer_norm_affine(x, gamma, beta)
+    out = linear(y, w1, b1) if op == "linear" else mlp(y, w1, b1, w2, b2)
+    held = held_tensors(np.ndarray)
+    reset_tape()
+    assert out.shape == (5, 6, 32 if op == "linear" else 8)
+    assert [a.shape for a in held if np.shares_memory(a, y.data)] == []
+    assert any(a is y.recipe[0] for a in held)
+
+
+def test_only_a_recorded_layer_norms_output_carries_a_recipe():
+    # An unrecorded norm's pullback keeps nothing: a recipe would keep its
+    # normalised rows alive for nothing.
+    r = np.random.default_rng(6)
+    arrays = [r.normal(size=shape) for shape in [(3, 4, 8), (8,), (8,)]]
+    assert layer_norm_affine(*map(Tensor, arrays)).recipe is None
+    with no_grad():
+        assert layer_norm_affine(*(Tensor(a, requires_grad=True) for a in arrays)).recipe is None
+    recorded = layer_norm_affine(Tensor(arrays[0]), Tensor(arrays[1], requires_grad=True), Tensor(arrays[2]))
+    reset_tape()
+    norm, gamma, beta = recorded.recipe
+    assert recorded.data.tobytes() == (norm * gamma + beta).tobytes()
 
 
 FUSED_AND_SHAPE_OPS = {"linear", "mlp", "layer_norm_affine", "multi_head_attention",
