@@ -14,10 +14,11 @@ one-byte mask instead of its output, or nothing at all where ``mlp``'s
 pullback rebuilds its hidden layer, tile by tile, from the input it keeps
 for the first layer's weight gradient. A ``linear`` or ``mlp`` whose
 weight trains keeps its input, except a recorded layer norm's output:
-of that it keeps the recipe, the normalised rows the norm's own pullback
-keeps and the affine's arrays, and rebuilds the output with the forward's
-two elementwise expressions. So a recorded tensor lives only as long as
-its caller holds it, and its array only as long as a pullback will read it.
+of that it keeps the recipe, which rebuilds the output with the forward's
+two elementwise expressions from the normalised rows the norm's own
+pullback keeps and the affine's arrays. So a recorded tensor lives only
+as long as its caller holds it, and its array only as long as a pullback
+will read it.
 
 A training loop may run its steps inside ``step_workspace()``: every
 array an op computes for one step, and every buffer its backward pass
@@ -222,7 +223,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.key = 0  # set by the tape when an op records this tensor as its output
-        self.recipe: tuple[Array, Array, Array] | None = None  # see layer_norm_affine
+        self.recipe: Callable[[int, int, Array], Array] | None = None  # see layer_norm_affine
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -673,22 +674,12 @@ def _running_sum(stack: Array, acc: Array, first: bool) -> None:
     np.add.reduce(stack[1 if first else 0:], axis=0, out=acc)
 
 
-def _stack(flat: Array, lead: tuple[int, ...], shape: tuple[int, ...]) -> tuple[Array, Array]:
-    """Views of the 1-D buffer ``flat`` (other sums may share it) for ``_stacked_sum``: a stack of
-    ``shape``-shaped matrices, and its matrices after slot 0 as a tile of ``lead``-shaped items."""
-    slots = flat[:(1 + math.prod(lead)) * math.prod(shape)].reshape((-1,) + shape)
-    return slots, slots[1:].reshape(lead + shape)
-
-
-def _stacked_sum(a: Array, b: Array, stack: tuple[Array, Array], acc: Array, first: bool) -> None:
-    """``a @ b``, a tile of items, summed over its leading axes into ``acc`` by ``_running_sum`` in the
-    views ``stack`` of ``_stack``."""
-    slots, prods = stack
-    if len(a) < len(prods):  # a ragged last tile: its items, and the slots up to the last of them
-        prods = prods[:len(a)]
-        slots = slots[:1 + prods.size // acc.size]
-    np.matmul(a, b, out=prods)
-    _running_sum(slots, acc, first)
+def _stacked_sum(a: Array, b: Array, flat: Array, acc: Array, first: bool) -> None:
+    """``a @ b`` summed over its leading axes into ``acc`` by ``_running_sum``, stacked in ``flat``: a 1-D
+    buffer with room for one more matrix of ``acc``'s shape than ``a @ b`` makes (other sums may share it)."""
+    stack = flat[:(1 + math.prod(a.shape[:-2])) * acc.size].reshape((-1,) + acc.shape)
+    np.matmul(a, b, out=stack[1:].reshape(a.shape[:-2] + acc.shape))
+    _running_sum(stack, acc, first)
 
 
 def _check_linear(op: str, xs: tuple[int, ...], w: Tensor, b: Tensor) -> None:
@@ -721,11 +712,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     bits they would get as the leading rows of a ``pad_rows``-row input
     whose other rows have zero adjoint. The pullback runs in tiles of the
     first axis with the whole batch's bytes (see ``_tiles``), so that no
-    batch-wide temporary sets a training step's peak; only the unpadded
-    input gradient is one stacked product, written straight into its
-    batch-wide result. When ``w`` takes a gradient the pullback keeps
-    ``x``, or, when ``x`` is a recorded layer norm's output, its recipe:
-    it rebuilds ``x`` from that, whole, in a buffer it hands back on return.
+    batch-wide temporary sets a training step's peak. When ``w`` takes a
+    gradient the pullback keeps ``x``, or, when ``x`` is a recorded layer
+    norm's output, its ``recipe``: it rebuilds ``x`` with that, whole, in a
+    buffer it hands back on return.
     """
     _check_linear("linear", x.shape, w, b)
     shape = x.shape[:-1] + w.shape[1:]
@@ -745,22 +735,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     def pullback(g):
         gi = _items(g)
         tile, bounds = _tiles(len(gi), ws)
-        gx = gw = None
-        if wd is not None:
-            gx = _empty(xs)
-            pads = _pads(tile, gi.shape[1:], pad_rows, xs[-1])
-            if pads is None:
-                np.matmul(g, wd.T, out=gx)
-            else:
-                for s, e in bounds:
-                    _input_grad(gi[s:e], wd, _items(gx)[s:e], pads)
+        gx, pads = (None, None) if wd is None else (_empty(xs), _pads(tile, gi.shape[1:], pad_rows, xs[-1]))
+        xt = gw = flat = None
         if xd is not None or recipe is not None:
-            xt = _items(xd if recipe is None else _affine(*recipe, _empty(xs))).swapaxes(-1, -2)
+            xt = (_items(xd) if recipe is None else recipe(0, len(gi), _items(_empty(xs)))).swapaxes(-1, -2)
             gw = _zeros(ws)  # zeros for an empty batch, else overwritten
-            stack = _stack(_empty(((1 + tile * math.prod(gi.shape[1:-2])) * math.prod(ws),)),
-                           (tile,) + gi.shape[1:-2], ws)
-            for s, e in bounds:
-                _stacked_sum(xt[s:e], gi[s:e], stack, gw, s == 0)
+            flat = _empty(((1 + tile * math.prod(gi.shape[1:-2])) * math.prod(ws),))
+        for s, e in bounds:
+            if gx is not None:
+                _input_grad(gi[s:e], wd, _items(gx)[s:e], pads)
+            if gw is not None:
+                _stacked_sum(xt[s:e], gi[s:e], flat, gw, s == 0)
         return (gx, gw, _unbroadcast(g, bs)) + ((_unbroadcast(g, rs),) if joined else ())
 
     return _record(inputs, out, pullback)
@@ -786,8 +771,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     its ReLU mask, with the forward's own expressions on the same tile
     bounds; else it keeps only the ReLU's one-byte mask, and that only
     when the gradient passes through the ReLU. Where ``x`` is a recorded
-    layer norm's output, it keeps that output's recipe instead of ``x``
-    and rebuilds each tile of ``x`` first, for both readers.
+    layer norm's output, it keeps that output's ``recipe`` instead of
+    ``x`` and rebuilds each tile of ``x`` with it first, for both readers.
     """
     hidden_shape, width = x.shape[:-1] + w1.shape[1:], w1.shape[-1]
     _check_linear("mlp", x.shape, w1, b1)
@@ -820,7 +805,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     gx_wanted, gw1_wanted = x.requires_grad, w1.requires_grad
     keep = gw1_wanted or rebuild
     recipe = x.recipe if keep else None
-    xd = None if not keep else xi if recipe is None else _items(recipe[0])  # x's items, or its norm's
+    xd = xi if keep and recipe is None else None
     w1d = w1.data if gx_wanted or rebuild else None
     b1d = b1.data if rebuild else None
     w2d = w2.data if through else None
@@ -843,16 +828,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
             hs = _empty((tile,) + rows + (width,)) if rebuild else None
             ghs = _empty((1 + tile * rows_per, width)) if through else None
             flat = _empty(((1 + tile * per) * max(math.prod(w1s), math.prod(w2s)),)) if keep else None
-            stack1 = _stack(flat, (tile,) + rows[:-1], w1s) if gw1 is not None else None
-            stack2 = _stack(flat, (tile,) + rows[:-1], w2s) if rebuild else None
             pads = _pads(tile, rows + g.shape[-1:], pad_rows, width, *(xs[-1:] if gx_wanted else ())) \
                 if through else None
             for s, e in bounds:
                 if keep:
-                    xt = xd[s:e] if xr is None else _affine(xd[s:e], recipe[1], recipe[2], xr[:e - s])
+                    xt = xd[s:e] if recipe is None else recipe(s, e, xr[:e - s])
                 if rebuild:
                     h = _relu_layer(xt, w1d, b1d, hs[:e - s])
-                    _stacked_sum(h.swapaxes(-1, -2), gi[s:e], stack2, gw2, s == 0)
+                    _stacked_sum(h.swapaxes(-1, -2), gi[s:e], flat, gw2, s == 0)
                 if not through:
                     continue
                 gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,))
@@ -863,7 +846,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
                 if gx is not None:
                     _input_grad(gh, w1d, _items(gx)[s:e], pads and pads[1:])
                 if gw1 is not None:
-                    _stacked_sum(xt.swapaxes(-1, -2), gh, stack1, gw1, s == 0)
+                    _stacked_sum(xt.swapaxes(-1, -2), gh, flat, gw1, s == 0)
                 if gb1 is not None:
                     _running_sum(ghs[:1 + (e - s) * rows_per], gb1, s == 0)
         return (gx, gw1, gb1, gw2, gb2) + ((_unbroadcast(g, rs),) if joined else ())
@@ -871,23 +854,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     return _record(inputs, out, pullback)
 
 
-def _affine(norm: Array, gamma: Array, beta: Array, out: Array) -> Array:
-    """``norm * gamma + beta`` into ``out``: a layer norm's output, made or rebuilt from its recipe."""
-    np.multiply(norm, gamma, out=out)
-    out += beta
-    return out
-
-
 def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """``layer_norm(a) * gamma + beta`` with per-feature scale and shift.
 
-    A recorded output carries its ``recipe``, ``(norm, gamma, beta)``: the
-    normalised rows its own pullback keeps anyway, and the affine's arrays.
-    A ``linear`` or ``mlp`` whose weight takes a gradient keeps that
-    instead of the output, and rebuilds the output with ``_affine``, the
-    forward's own expressions, so the output's array goes back once its
-    caller drops it. An unrecorded output carries none: it would keep
-    ``norm``, which nothing else reads then, alive.
+    A recorded output carries its ``recipe``: a function that rebuilds
+    items ``[s:e]`` of the output into a given buffer with the forward's
+    own expressions, from the normalised rows its own pullback keeps
+    anyway and the affine's arrays. A ``linear`` or ``mlp`` whose weight
+    takes a gradient keeps that instead of the output, so the output's
+    array goes back once its caller drops it. An unrecorded output carries
+    none: it would keep the normalised rows, which nothing else reads
+    then, alive.
     """
     if gamma.shape != a.shape[-1:] or beta.shape != a.shape[-1:]:
         raise ValueError(
@@ -896,8 +873,15 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         )
     out = _empty(a.shape)
     norm, inv = _normalize(a.data, out=_empty(a.shape), scratch=out)
-    gd, bd = gamma.data, beta.data
-    _affine(norm, gd, bd, out)
+    gd, bd, ni = gamma.data, beta.data, _items(norm)
+
+    def recipe(s: int, e: int, into: Array) -> Array:
+        """Items ``[s:e]`` of the output, made into ``into``."""
+        np.multiply(ni[s:e], gd, out=into)
+        into += bd
+        return into
+
+    recipe(0, len(ni), _items(out))
     need_a, sg, sb = a.requires_grad, _grad_shape(gamma), _grad_shape(beta)
 
     def pullback(g):
@@ -912,7 +896,7 @@ def layer_norm_affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     y = _record((a, gamma, beta), out, pullback)
     if y.requires_grad:
-        y.recipe = (norm, gd, bd)
+        y.recipe = recipe
     return y
 
 

@@ -28,6 +28,7 @@ from helpers import (
     reference_layer_norm_affine,
     reference_linear,
     reference_mlp,
+    step_times,
     twelve_prompt_step,
 )
 from promptcl import ModelConfig, model, tensor, training
@@ -437,6 +438,17 @@ def test_a_twelve_prompt_step_takes_no_more_workspace_than_before(monkeypatch, s
     assert step_need(monkeypatch, stage) <= TWELVE_PROMPT_NEED[stage]
 
 
+def test_step_times_gives_a_positive_time_for_each_block_of_fits_steps(monkeypatch):
+    # It times each step from one of _fit's reset_tape calls to the next:
+    # one a step, and one more when _fit returns.
+    calls = []
+    reset = training.reset_tape
+    monkeypatch.setattr(training, "reset_tape", lambda: (calls.append(None), reset())[1])
+    times = step_times("pretraining", 8, 2, warmup=3)
+    assert len(times) == 2 and all(t > 0 for t in times)
+    assert len(calls) == 3 + 5 * 2 + 1
+
+
 def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
     # The one prompt row and the first patch row; the whole last block on
     # all 17 tokens took 933,376, whole-batch MLP and attention-pullback
@@ -565,7 +577,7 @@ def test_a_trained_weight_on_a_layer_norms_output_keeps_no_array_of_it(op):
     reset_tape()
     assert out.shape == (5, 6, 32 if op == "linear" else 8)
     assert [a.shape for a in held if np.shares_memory(a, y.data)] == []
-    assert any(a is y.recipe[0] for a in held)
+    assert y.recipe(0, 5, np.empty_like(y.data)).tobytes() == y.data.tobytes()
 
 
 def test_only_a_recorded_layer_norms_output_carries_a_recipe():
@@ -578,8 +590,8 @@ def test_only_a_recorded_layer_norms_output_carries_a_recipe():
         assert layer_norm_affine(*(Tensor(a, requires_grad=True) for a in arrays)).recipe is None
     recorded = layer_norm_affine(Tensor(arrays[0]), Tensor(arrays[1], requires_grad=True), Tensor(arrays[2]))
     reset_tape()
-    norm, gamma, beta = recorded.recipe
-    assert recorded.data.tobytes() == (norm * gamma + beta).tobytes()
+    assert recorded.recipe(0, 3, np.empty_like(recorded.data)).tobytes() == recorded.data.tobytes()
+    assert recorded.recipe(1, 3, np.empty((2, 4, 8))).tobytes() == recorded.data[1:].tobytes()
 
 
 FUSED_AND_SHAPE_OPS = {"linear", "mlp", "layer_norm_affine", "multi_head_attention",
