@@ -14,11 +14,11 @@ one-byte mask instead of its output, or nothing at all where ``mlp``'s
 pullback rebuilds its hidden layer, tile by tile, from the input it keeps
 for the first layer's weight gradient. A ``linear`` or ``mlp`` whose
 weight trains keeps its input, except a recorded layer norm's output:
-of that it keeps the recipe, which rebuilds the output with the forward's
-two elementwise expressions from the normalised rows the norm's own
-pullback keeps and the affine's arrays. So a recorded tensor lives only
-as long as its caller holds it, and its array only as long as a pullback
-will read it.
+of that it keeps the recipe, and both rebuild it a tile at a time
+through one helper, ``_kept_input``, with the forward's two elementwise
+expressions, from the normalised rows the norm's own pullback keeps and
+the affine's arrays. So a recorded tensor lives only as long as its
+caller holds it, and its array only as long as a pullback will read it.
 
 A training loop may run its steps inside ``step_workspace()``: every
 array an op computes for one step, and every buffer its backward pass
@@ -645,24 +645,12 @@ def _tiles(items: int, *sums: tuple[int, ...]) -> tuple[int, list[tuple[int, int
 
 def _pads(tile: int, item: tuple[int, ...], pad_rows: int | None, *widths: int) -> list[Array] | None:
     """A tile of ``item``-shaped adjoints zero-padded to ``pad_rows`` rows, then room for each product of a
-    chain of ``_input_grad`` calls, ``widths`` wide, that pads the next one's adjoint (a row of a product
+    chain of ``_tile_grads`` calls, ``widths`` wide, that pads the next one's adjoint (a row of a product
     reads no other row, so its added rows may hold products of zero rows); None when no row is added."""
     if pad_rows is None or pad_rows == item[-2]:
         return None
     bufs = [_zeros((tile,) + item[:-2] + (pad_rows, item[-1]))]
     return bufs + [_empty(bufs[0].shape[:-1] + (width,)) for width in widths]
-
-
-def _input_grad(g: Array, w: Array, out: Array, pads: list[Array] | None) -> None:
-    """``g @ w.T`` into ``out`` for a tile ``g`` of items, made on the padded rows of ``pads[0]`` when given:
-    a stacked ``matmul`` makes the same per-item BLAS call whatever its batch holds, so each item keeps
-    the bits of the whole batch's product."""
-    if pads is None:
-        np.matmul(g, w.T, out=out)
-    else:
-        n, rows = len(g), g.shape[-2]
-        pads[0][:n, ..., :rows, :] = g
-        out[...] = np.matmul(pads[0][:n], w.T, out=pads[1][:n])[..., :rows, :]
 
 
 def _running_sum(stack: Array, acc: Array, first: bool) -> None:
@@ -674,12 +662,39 @@ def _running_sum(stack: Array, acc: Array, first: bool) -> None:
     np.add.reduce(stack[1 if first else 0:], axis=0, out=acc)
 
 
-def _stacked_sum(a: Array, b: Array, flat: Array, acc: Array, first: bool) -> None:
-    """``a @ b`` summed over its leading axes into ``acc`` by ``_running_sum``, stacked in ``flat``: a 1-D
-    buffer with room for one more matrix of ``acc``'s shape than ``a @ b`` makes (other sums may share it)."""
-    stack = flat[:(1 + math.prod(a.shape[:-2])) * acc.size].reshape((-1,) + acc.shape)
-    np.matmul(a, b, out=stack[1:].reshape(a.shape[:-2] + acc.shape))
-    _running_sum(stack, acc, first)
+def _tile_grads(g: Array, w: Array | None, gx: Array | None, pads: list[Array] | None, x: Array | None,
+                gw: Array | None, flat: Array | None, first: bool) -> None:
+    """A layer's pullback on a tile ``g`` of items of ``x @ w``'s adjoint: ``g @ w.T`` into ``gx``, made on
+    the padded rows of ``pads[0]`` when given (a stacked ``matmul`` makes the same per-item BLAS call whatever
+    its batch holds, so each item keeps the bits of the whole batch's product), and ``x.T @ g`` into ``gw``,
+    summed over its leading axes by ``_running_sum`` and stacked in ``flat``: a 1-D buffer with room for one
+    more matrix of ``gw``'s shape than the tile makes (other sums may share it). Each only when given."""
+    if gx is not None and pads is None:
+        np.matmul(g, w.T, out=gx)
+    elif gx is not None:
+        n, rows = len(g), g.shape[-2]
+        pads[0][:n, ..., :rows, :] = g
+        gx[...] = np.matmul(pads[0][:n], w.T, out=pads[1][:n])[..., :rows, :]
+    if gw is not None:
+        stack = flat[:(1 + math.prod(g.shape[:-2])) * gw.size].reshape((-1,) + gw.shape)
+        np.matmul(x.swapaxes(-1, -2), g, out=stack[1:].reshape(g.shape[:-2] + gw.shape))
+        _running_sum(stack, gw, first)
+
+
+def _kept_input(x: Tensor) -> Callable[[int], Callable[[int, int], Array]]:
+    """How a pullback reads items ``[s:e]`` of its input ``x``: called with its tile length, a reader that
+    rebuilds them into one tile's buffer by a recorded layer norm's ``recipe``, so that the norm's output
+    goes back once its caller drops it, or slices them from any other ``x``, whose array it keeps."""
+    recipe, xi = x.recipe, _items(x.data)
+    if recipe is None:
+        return lambda tile: lambda s, e: xi[s:e]
+    item = xi.shape[1:]  # the reader below holds no array of x
+
+    def reader(tile: int) -> Callable[[int, int], Array]:
+        buf = _empty((tile,) + item)
+        return lambda s, e: recipe(s, e, buf[:e - s])
+
+    return reader
 
 
 def _check_linear(op: str, xs: tuple[int, ...], w: Tensor, b: Tensor) -> None:
@@ -711,51 +726,50 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None,
     BLAS picks its kernel by row count, so the rows of ``x`` then get the
     bits they would get as the leading rows of a ``pad_rows``-row input
     whose other rows have zero adjoint. The pullback runs in tiles of the
-    first axis with the whole batch's bytes (see ``_tiles``), so that no
-    batch-wide temporary sets a training step's peak. When ``w`` takes a
-    gradient the pullback keeps ``x``, or, when ``x`` is a recorded layer
-    norm's output, its ``recipe``: it rebuilds ``x`` with that, whole, in a
-    buffer it hands back on return.
+    first axis with the whole batch's bytes (see ``_tiles`` and
+    ``_tile_grads``), so that no batch-wide temporary sets a training
+    step's peak. When ``w`` takes a gradient the pullback keeps ``x``, or,
+    when ``x`` is a recorded layer norm's output, its ``recipe``, and reads
+    each tile of ``x`` through ``_kept_input``, rebuilding it with that.
     """
     _check_linear("linear", x.shape, w, b)
     shape = x.shape[:-1] + w.shape[1:]
     _check_joins("linear", x, shape, residual, pad_rows)
     joined = residual is not None
     inputs = (x, w, b, residual) if joined else (x, w, b)
-    out = np.matmul(x.data, w.data, out=_empty(shape))
-    out += b.data
-    if joined:
-        out += residual.data
+    out = _affine(x.data, w.data, b.data, _empty(shape), residual.data if joined else None)
     xs, ws, bs = x.shape, w.shape, _grad_shape(b)
     wd = w.data if x.requires_grad else None
-    recipe = x.recipe if w.requires_grad else None
-    xd = x.data if w.requires_grad and recipe is None else None
+    kept = _kept_input(x) if w.requires_grad else None
     rs = _grad_shape(residual) if joined else None
 
     def pullback(g):
         gi = _items(g)
         tile, bounds = _tiles(len(gi), ws)
         gx, pads = (None, None) if wd is None else (_empty(xs), _pads(tile, gi.shape[1:], pad_rows, xs[-1]))
-        xt = gw = flat = None
-        if xd is not None or recipe is not None:
-            xt = (_items(xd) if recipe is None else recipe(0, len(gi), _items(_empty(xs)))).swapaxes(-1, -2)
-            gw = _zeros(ws)  # zeros for an empty batch, else overwritten
-            flat = _empty(((1 + tile * math.prod(gi.shape[1:-2])) * math.prod(ws),))
+        read = None if kept is None else kept(tile)
+        gw = None if kept is None else _zeros(ws)  # zeros for an empty batch, else overwritten
+        flat = None if kept is None else _empty(((1 + tile * math.prod(gi.shape[1:-2])) * math.prod(ws),))
         for s, e in bounds:
-            if gx is not None:
-                _input_grad(gi[s:e], wd, _items(gx)[s:e], pads)
-            if gw is not None:
-                _stacked_sum(xt[s:e], gi[s:e], flat, gw, s == 0)
+            _tile_grads(gi[s:e], wd, None if gx is None else _items(gx)[s:e], pads,
+                        None if read is None else read(s, e), gw, flat, s == 0)
         return (gx, gw, _unbroadcast(g, bs)) + ((_unbroadcast(g, rs),) if joined else ())
 
     return _record(inputs, out, pullback)
 
 
-def _relu_layer(x: Array, w: Array, b: Array, out: Array) -> Array:
-    """``maximum(x @ w + b, 0)`` into ``out``: one tile of ``mlp``'s hidden layer, made or rebuilt."""
+def _affine(x: Array, w: Array, b: Array, out: Array, residual: Array | None = None) -> Array:
+    """``x @ w + b`` (+ ``residual`` when given) into ``out``: a forward product of ``linear`` or ``mlp``."""
     np.matmul(x, w, out=out)
     out += b
-    return np.maximum(out, 0.0, out=out)
+    if residual is not None:
+        out += residual
+    return out
+
+
+def _relu_layer(x: Array, w: Array, b: Array, out: Array) -> Array:
+    """``maximum(x @ w + b, 0)`` into ``out``: one tile of ``mlp``'s hidden layer, made or rebuilt."""
+    return np.maximum(_affine(x, w, b, out), 0.0, out=out)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Tensor | None = None,
@@ -765,14 +779,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     It has the bytes of ``linear(maximum(linear(x, w1, b1), 0), w2, b2,
     residual)``, with ``residual`` and ``pad_rows`` as in ``linear``, but
     never holds the whole batch's hidden layer: forward and pullback run in
-    tiles of the first axis, as ``linear``'s pullback does (see ``_tiles``).
-    When ``w2`` takes a gradient the pullback keeps ``x`` (which ``w1``'s
-    gradient reads too) and rebuilds each tile of the hidden layer, and
-    its ReLU mask, with the forward's own expressions on the same tile
-    bounds; else it keeps only the ReLU's one-byte mask, and that only
-    when the gradient passes through the ReLU. Where ``x`` is a recorded
-    layer norm's output, it keeps that output's ``recipe`` instead of
-    ``x`` and rebuilds each tile of ``x`` with it first, for both readers.
+    tiles of the first axis, as ``linear``'s pullback does (see ``_tiles``),
+    two ``_tile_grads`` steps to a tile. When ``w2`` takes a gradient the pullback
+    keeps ``x`` (which ``w1``'s gradient reads too) and rebuilds each tile
+    of the hidden layer, and its ReLU mask, with the forward's own
+    expressions on the same tile bounds; else it keeps only the ReLU's
+    one-byte mask, and that only when the gradient passes through the
+    ReLU. Where ``x`` is a recorded layer norm's output, it keeps that
+    output's ``recipe`` instead of ``x`` and, through ``_kept_input`` as
+    ``linear`` does, rebuilds each tile of ``x`` with it, for both readers.
     """
     hidden_shape, width = x.shape[:-1] + w1.shape[1:], w1.shape[-1]
     _check_linear("mlp", x.shape, w1, b1)
@@ -789,23 +804,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
     # the ReLU's mask: a byte per element, where the layer keeps eight
     mask = _empty(hidden_shape, np.bool_) if through and not rebuild else None
     out = _empty(shape)
-    oi = _items(out)
     hi = _empty((tile,) + xi.shape[1:-1] + (width,))
-    ri = None if not joined or residual.ndim < len(shape) else _items(residual.data)
+    ri = None if not joined else _items(np.broadcast_to(residual.data, shape))
     for s, e in bounds:
         h = _relu_layer(xi[s:e], w1.data, b1.data, hi[:e - s])
         if mask is not None:
             np.greater(h, 0.0, out=_items(mask)[s:e])
-        o = oi[s:e]
-        np.matmul(h, w2.data, out=o)
-        o += b2.data
-        if joined:
-            o += residual.data if ri is None else ri[s:e]
+        _affine(h, w2.data, b2.data, _items(out)[s:e], None if ri is None else ri[s:e])
     xs, w1s, b1s, w2s, b2s = x.shape, w1.shape, _grad_shape(b1), w2.shape, _grad_shape(b2)
     gx_wanted, gw1_wanted = x.requires_grad, w1.requires_grad
-    keep = gw1_wanted or rebuild
-    recipe = x.recipe if keep else None
-    xd = xi if keep and recipe is None else None
+    kept = _kept_input(x) if gw1_wanted or rebuild else None
     w1d = w1.data if gx_wanted or rebuild else None
     b1d = b1.data if rebuild else None
     w2d = w2.data if through else None
@@ -824,29 +832,24 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, residual: Ten
             gw2 = _zeros(w2s) if rebuild else None
             # one tile's rebuilt x and hidden layer, hidden adjoint (with a slot 0 that carries
             # its sum from tile to tile) and weight-gradient stack, which gw2 and gw1 share
-            xr = _empty((tile,) + rows + xs[-1:]) if recipe is not None else None
+            read = None if kept is None else kept(tile)
             hs = _empty((tile,) + rows + (width,)) if rebuild else None
             ghs = _empty((1 + tile * rows_per, width)) if through else None
-            flat = _empty(((1 + tile * per) * max(math.prod(w1s), math.prod(w2s)),)) if keep else None
+            flat = None if read is None else _empty(((1 + tile * per) * max(math.prod(w1s), math.prod(w2s)),))
             pads = _pads(tile, rows + g.shape[-1:], pad_rows, width, *(xs[-1:] if gx_wanted else ())) \
                 if through else None
             for s, e in bounds:
-                if keep:
-                    xt = xd[s:e] if recipe is None else recipe(s, e, xr[:e - s])
-                if rebuild:
-                    h = _relu_layer(xt, w1d, b1d, hs[:e - s])
-                    _stacked_sum(h.swapaxes(-1, -2), gi[s:e], flat, gw2, s == 0)
+                xt = None if read is None else read(s, e)
+                h = _relu_layer(xt, w1d, b1d, hs[:e - s]) if rebuild else None
+                gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,)) if through else None
+                _tile_grads(gi[s:e], w2d, gh, pads, h, gw2, flat, s == 0)
                 if not through:
                     continue
-                gh = ghs[1:1 + (e - s) * rows_per].reshape((e - s,) + rows + (width,))
-                _input_grad(gi[s:e], w2d, gh, pads)
                 # the ReLU's mask: kept, or 1.0 and 0.0 written over the rebuilt tile,
                 # which multiply as True and False do
                 np.multiply(gh, _items(mask)[s:e] if mask is not None else np.greater(h, 0.0, out=h), out=gh)
-                if gx is not None:
-                    _input_grad(gh, w1d, _items(gx)[s:e], pads and pads[1:])
-                if gw1 is not None:
-                    _stacked_sum(xt.swapaxes(-1, -2), gh, flat, gw1, s == 0)
+                gxt = None if gx is None else _items(gx)[s:e]
+                _tile_grads(gh, w1d, gxt, pads and pads[1:], xt, gw1, flat, s == 0)
                 if gb1 is not None:
                     _running_sum(ghs[:1 + (e - s) * rows_per], gb1, s == 0)
         return (gx, gw1, gb1, gw2, gb2) + ((_unbroadcast(g, rs),) if joined else ())
@@ -930,12 +933,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ValueError(f"multi_head_attention: width {d} not divisible into {heads} heads")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    lead, keys = q.shape[:-2], k.shape[-2]
+    lead, keys = q.shape[:-2] or (1,), k.shape[-2]  # the leading axes of the operands' items
     head_t, scores = lead + (heads, dh, keys), lead + (heads, q.shape[-2], keys)
 
     def split(a: Array) -> Array:
-        """The (..., heads, rows, dh) view of a (..., rows, d) array."""
-        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, dh)), -2, -3)
+        """The (..., heads, rows, dh) view of a (..., rows, d) array's items (see ``_items``)."""
+        return np.swapaxes(_items(a).reshape(lead + (a.shape[-2], heads, dh)), -2, -3)
 
     qh, vh, kh = split(q.data), split(v.data), split(k.data)
     if dh == 1:  # one-feature heads are vectors to BLAS, whose bits depend on their stride
@@ -960,25 +963,22 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         if need_q or need_k:
             gq = _empty(q_shape) if need_q else None
             gk = _empty(kv_shape) if need_k else None
-            # the operands as stacks along the first axis (one item without batch axes),
-            # and one tile's score-sized buffers: the scores' adjoint, the softmax scratch
+            # one tile's score-sized buffers: the scores' adjoint, the softmax scratch
             # and the transposed keys
-            lift = (lambda a: a) if lead else (lambda a: a[None])
-            go_, vh_, qh_, kh_, attn_ = map(lift, (go, vh, qh, kh, attn))
-            (tile, bounds), item = _tiles(len(go_)), slice(1 if lead else 0, None)
-            gs_t, tmp_t = _empty((tile,) + scores[item]), _empty((tile,) + scores[item])
-            kt_t = _empty((tile,) + head_t[item])
+            tile, bounds = _tiles(len(go))
+            gs_t, tmp_t = _empty((tile,) + scores[1:]), _empty((tile,) + scores[1:])
+            kt_t = _empty((tile,) + head_t[1:])
             for s, e in bounds:
                 gs, kt = gs_t[:e - s], kt_t[:e - s]
-                np.matmul(go_[s:e], np.swapaxes(vh_[s:e], -1, -2), out=gs)
-                _softmax_pullback(gs, attn_[s:e], into=gs, scratch=tmp_t[:e - s])
+                np.matmul(go[s:e], np.swapaxes(vh[s:e], -1, -2), out=gs)
+                _softmax_pullback(gs, attn[s:e], into=gs, scratch=tmp_t[:e - s])
                 gs *= scale
-                kt[...] = np.swapaxes(kh_[s:e], -1, -2)
+                kt[...] = np.swapaxes(kh[s:e], -1, -2)
                 if need_q:
-                    np.matmul(gs, np.swapaxes(kt, -1, -2), out=lift(split(gq))[s:e])
+                    np.matmul(gs, np.swapaxes(kt, -1, -2), out=split(gq)[s:e])
                 if need_k:
-                    np.matmul(np.swapaxes(qh_[s:e], -1, -2), gs, out=kt)
-                    lift(split(gk))[s:e] = np.swapaxes(kt, -1, -2)
+                    np.matmul(np.swapaxes(qh[s:e], -1, -2), gs, out=kt)
+                    split(gk)[s:e] = np.swapaxes(kt, -1, -2)
         if heads > 1:  # as summing zero-padded per-head slices does, turn a -0.0 into 0.0
             for grad in (gq, gk, gv):
                 if grad is not None:

@@ -5,15 +5,18 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import failing_open
-from promptcl import ShiftParams, SyntheticSpec, cli, generate_dataset, load_dataset, reporting, training
+from promptcl import (ShiftParams, SyntheticSpec, cli, generate_dataset, load_checkpoint, load_dataset, reporting,
+                      training)
 from promptcl.cli import build_parser, main
 from promptcl.reporting import Report, write_report
 
@@ -300,6 +303,40 @@ def test_an_out_dir_that_cannot_be_made_fails_before_any_training(tmp_path, monk
     assert err.startswith("error:") and err.count("\n") == 1 and "Not a directory" in err, err  # no traceback
     assert calls == []
     assert blocker.read_text() == ""
+
+
+def test_a_run_killed_after_its_first_stage_leaves_every_output_whole_or_absent(tmp_path):
+    # SIGKILL runs no clean-up: the run may leave the temporary file it was
+    # writing, <name>.<pid>.tmp (see seeds.replacing), but every file it
+    # names must load or be absent. Enough epochs keep the run in its later
+    # stages long after the first checkpoint appears.
+    data = gen_micro_dataset(tmp_path / "data")
+    out_dir = tmp_path / "runs"
+    conf = tmp_path / "run.conf"
+    conf.write_text(MICRO_CONF.format(dataset=data, out_dir=out_dir).replace("epochs        = 1", "epochs = 120"))
+    proc = subprocess.Popen([sys.executable, "-m", "promptcl.cli", "run", "--config", str(conf)], cwd=tmp_path,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 300
+        while not (out_dir / "stage_01.npz").exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+    finally:
+        proc.kill()  # SIGKILL, here or after a failure above: no run is left behind
+        _, err = proc.communicate()
+    assert proc.returncode == -signal.SIGKILL, err  # killed, not finished or failed
+    names = sorted(p.name for p in out_dir.iterdir())
+    stages = [n for n in names if n.startswith("stage_") and n.endswith(".npz")]
+    assert stages and stages[0] == "stage_01.npz" and len(stages) < 5, names
+    for name in stages:
+        load_checkpoint(out_dir / name)
+    for name in ("report.json", "timing.json"):
+        if (out_dir / name).exists():
+            json.loads((out_dir / name).read_text())
+    if (out_dir / "sessions.csv").exists():
+        with open(out_dir / "sessions.csv", newline="") as fh:
+            assert list(csv.reader(fh))[0][0] == "session"
+    left = set(names) - set(stages) - {"report.json", "sessions.csv", "timing.json"}
+    assert all(n.endswith(f".{proc.pid}.tmp") for n in left), names
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -22,6 +22,10 @@ those programs are left out of this check.
 """
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -366,3 +370,44 @@ def test_a_generated_program_gives_the_same_bytes_every_way_it_runs(program):
     "terms": [1], "held": []})
 def test_a_generated_program_gives_the_bytes_of_its_unfused_chains(program):
     assert run(program, "chains") == run(program, "plain")
+
+
+# The first draws of programs() in a fresh process that loads the suite's
+# conftest.py as pytest does, printed one per line with each op named by
+# its place in OPS; the argument names the modules it loads first.
+FIRST_DRAWS = """
+import importlib, sys
+import conftest
+for name in filter(None, sys.argv[1].split(",")):
+    importlib.import_module(name)
+from hypothesis import given, settings
+from test_tape_programs import OPS, programs
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(programs())
+def draw(program):
+    print(repr({**program, "fused": None, "ops": [(OPS.index(op), c, d) for op, c, d in program["ops"]]}))
+
+draw()
+"""
+
+
+def test_the_generated_programs_do_not_depend_on_the_modules_loaded_before_them(tmp_path):
+    # Collecting perfbench/test_perfbench.py loads the benchmark's run.py and
+    # layertrace.py, and Hypothesis drew from their constants: the programs
+    # of a whole-suite run differed, from the third on, from those of this
+    # file run alone. conftest.py fixes that pool.
+    tests = Path(__file__).resolve().parent
+    script = tmp_path / "first_draws.py"
+    script.write_text(FIRST_DRAWS)
+    path = [str(tests), str(tests.parent / "perfbench"), str(tests.parent / "src")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def draws(modules):
+        out = subprocess.run([sys.executable, str(script), modules], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True).stdout
+        return out.splitlines()
+
+    alone = draws("")
+    assert len(alone) == 40
+    assert draws("layertrace,run") == alone

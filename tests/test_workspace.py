@@ -20,6 +20,7 @@ import types
 import numpy as np
 import pytest
 
+import step_pairs
 import test_tensor
 import test_training
 from helpers import (
@@ -31,7 +32,7 @@ from helpers import (
     step_times,
     twelve_prompt_step,
 )
-from promptcl import ModelConfig, model, tensor, training
+from promptcl import ModelConfig, model, tensor, training, vit
 from promptcl.adapters import compute_trainable_mask
 from promptcl.losses import asl_loss, mask_to_task
 from promptcl.model import build_model, forward_logits, named_params, predict_probs
@@ -228,8 +229,8 @@ def test_tiled_pullbacks_give_the_bytes_of_their_chains_in_a_poisoned_workspace(
     # the two (mlp-widening). A padded linear or mlp has no chain: it must
     # give the bytes of one whole-batch tile. A one-wide hidden layer, whose
     # bias sum NumPy makes pairwise, runs in one tile. A linear or mlp on a
-    # recorded layer norm's output rebuilds that output, whole or a tile at
-    # a time, from the norm's recipe when a weight trains (norm-*).
+    # recorded layer norm's output rebuilds that output a tile at a time
+    # from the norm's recipe when a weight trains (norm-*).
     for name, op, chain, arrays, wants in tiled_cases(lead, np.random.default_rng(math.prod(lead))):
         with monkeypatch.context() as mp, step_workspace():
             mp.setattr(tensor, "_POISON", True)
@@ -449,6 +450,17 @@ def test_step_times_gives_a_positive_time_for_each_block_of_fits_steps(monkeypat
     assert len(calls) == 3 + 5 * 2 + 1
 
 
+def test_step_pairs_alternates_two_trees_in_fresh_processes(capsys):
+    # The script behind the step timings that CHANGES.md cites: one tree
+    # against itself, two pairs of one 5-step block at batch 2.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert step_pairs.main([root, root, "--batch", "2", "--pairs", "2", "--blocks", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair  1 (before first)", "pair  2 (after first)"]
+    assert lines[2].startswith("before: median ") and lines[3].startswith("after: median ")
+    assert lines[4].startswith("after faster in ") and " of 2 pairs" in lines[4]
+
+
 def test_a_one_prompt_step_runs_its_last_block_on_two_tokens(monkeypatch):
     # The one prompt row and the first patch row; the whole last block on
     # all 17 tokens took 933,376, whole-batch MLP and attention-pullback
@@ -476,6 +488,47 @@ def test_each_twelve_prompt_step_peaks_where_its_comment_says(monkeypatch, stage
     if stage == "pretraining":  # every w2 trains: an mlp lends its output, no hidden layer and no mask
         batch, tokens, width = 64, 28, ModelConfig().embed_dim
         assert all(n <= batch * tokens * width for (op, _), n in site.lent.items() if op == "mlp"), site.lent
+
+
+def test_a_linear_pullback_takes_no_buffer_of_its_inputs_shape_but_its_input_gradient(monkeypatch):
+    # A linear reads its kept input a tile at a time, as mlp does: one on a
+    # layer norm's output (every q, k and v projection) rebuilds it into one
+    # tile's buffer, not into a whole-batch one. In a pretraining step every
+    # weight trains, so each of those pullbacks rebuilds its input.
+    x_shapes, taken, strays, pulled = {}, [], [], []
+    take, pull, vit_linear = tensor._Workspace.take, tensor._pull, vit.linear
+
+    def spying_linear(x, *args, **kwargs):
+        out = vit_linear(x, *args, **kwargs)
+        x_shapes[out.key] = x.shape
+        return out
+
+    def spying_take(ws, shape, dtype=np.float64):
+        buf = take(ws, shape, dtype)
+        taken.append((tuple(shape), buf.ctypes.data))
+        return buf
+
+    def watched(key, pullback):
+        """``pullback``, noting each buffer of x's shape it takes that it does not return as x's gradient."""
+        def run(g):
+            start = len(taken)
+            grads = pullback(g)
+            pulled.append(key)
+            strays.extend(shape for shape, address in taken[start:] if shape == x_shapes[key]
+                          and (grads[0] is None or address != grads[0].ctypes.data))
+            return grads
+        return run
+
+    def spying_pull(key, routes, pullback, adjoint):
+        return pull(key, routes, watched(key, pullback) if key in x_shapes else pullback, adjoint)
+
+    monkeypatch.setattr(vit, "linear", spying_linear)
+    monkeypatch.setattr(tensor._Workspace, "take", spying_take)
+    monkeypatch.setattr(tensor, "_pull", spying_pull)
+    step_need(monkeypatch, "pretraining")
+    blocks = ModelConfig().layers
+    assert len(pulled) == 1 + 4 * blocks  # the patch embedding, and q, k, v and the output projection
+    assert strays == []
 
 
 def held_tensors(kind=Tensor):
